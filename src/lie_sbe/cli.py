@@ -2,9 +2,11 @@
 
 Laws are referenced as "catalog:NAME" or as a path to a JSON file; the
 environment variable LIE_SBE_CATALOG may name a directory of extra law
-files looked up as NAME.json.  Output is a JSON body on stdout (or a short
-text rendering with --text).  Exit codes: 0 success or verdict yes, 1
-verdict no, 2 usage error, 3 computation or input error.
+files looked up as NAME.json before the built-in catalog.  Output is a JSON
+body on stdout (or a short text rendering with --text).  Exit codes: 0
+success or verdict yes (an obstruction found is a yes for `obstruct`), 1
+verdict no, 2 usage error, 3 input error, failed precondition (such as a
+law that is not completely solvable) or other computation error.
 """
 
 from __future__ import annotations
@@ -56,14 +58,11 @@ def _external_catalog_file(name: str):
 
 
 def _catalog_lookup(name: str):
-    try:
+    path = _external_catalog_file(name)
+    if path is None:
         return catalog(name)
-    except InputError:
-        path = _external_catalog_file(name)
-        if path is None:
-            raise
-        with open(path, "r", encoding="utf-8") as fh:
-            return jsonio.law_loads(fh.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        return jsonio.law_loads(fh.read())
 
 
 def load_law(ref: str, skip_validate: bool = False):
@@ -481,8 +480,9 @@ def cmd_catalog(args):
         base = os.environ.get("LIE_SBE_CATALOG")
         if base and os.path.isdir(base):
             for fn in sorted(os.listdir(base)):
-                if fn.endswith(".json"):
-                    names.append(fn[:-len(".json")])
+                name = fn[:-len(".json")]
+                if fn.endswith(".json") and name not in names:
+                    names.append(name)
         payload = {"names": names}
         return 0, payload, list(names), "catalog_list"
     if not args.name:

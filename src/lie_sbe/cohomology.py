@@ -14,13 +14,14 @@ in (S, k); vectors over that order are what the matrices act on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, PreconditionError
 from .laws import LieLaw
-from .linalg import Subspace, is_zero_vec, rank, solve, transpose, zero_vec
+from .linalg import Subspace, rank, solve, transpose, zero_vec
 from . import linalg
 
 
@@ -191,21 +192,27 @@ def apply_differential(law: LieLaw, c: Cochain) -> Cochain:
     return Cochain(c.dim, c.degree + 1, c.module, terms)
 
 
+def _cochain_dim(n: int, q: int, module: str) -> int:
+    """len(cochain_basis(n, q, module)), without listing the basis."""
+    if q < 0:
+        return 0
+    return math.comb(n, q) * (n if module == "adjoint" else 1)
+
+
 def betti_numbers(law: LieLaw) -> list:
     """b_0..b_n for trivial coefficients."""
     n = law.dim
     ranks = [rank(differential(law, q, "trivial").dense()) for q in range(n + 1)]
     out = []
     for q in range(n + 1):
-        dim_cq = len(cochain_basis(n, q, "trivial"))
+        dim_cq = math.comb(n, q)
         prev = ranks[q - 1] if q > 0 else 0
         out.append(dim_cq - ranks[q] - prev)
     return out
 
 
 def adjoint_h_dim(law: LieLaw, q: int) -> int:
-    n = law.dim
-    dim_cq = len(cochain_basis(n, q, "adjoint"))
+    dim_cq = _cochain_dim(law.dim, q, "adjoint")
     r_q = rank(differential(law, q, "adjoint").dense())
     r_prev = rank(differential(law, q - 1, "adjoint").dense()) if q > 0 else 0
     return dim_cq - r_q - r_prev
@@ -236,7 +243,7 @@ def classify_cochain(law: LieLaw, c: Cochain) -> CocycleVerdict:
 
 def coboundary_space(law: LieLaw, q: int, module: str) -> Subspace:
     """Image of d_{q-1} inside C^q, over the C^q basis order."""
-    nq = len(cochain_basis(law.dim, q, module))
+    nq = _cochain_dim(law.dim, q, module)
     if q == 0:
         return Subspace.zero(nq)
     d_prev = differential(law, q - 1, module)
@@ -244,7 +251,7 @@ def coboundary_space(law: LieLaw, q: int, module: str) -> Subspace:
 
 
 def cocycle_space(law: LieLaw, q: int, module: str) -> Subspace:
-    nq = len(cochain_basis(law.dim, q, module))
+    nq = _cochain_dim(law.dim, q, module)
     d = differential(law, q, module)
     if not d.rows:
         return Subspace.full(nq)

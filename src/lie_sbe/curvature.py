@@ -294,6 +294,7 @@ class CurvatureReport:
     bianchi_max: float
     min_pair: tuple
     max_pair: tuple
+    frame: Frame
 
 
 def _orthonormal_pair(rng, n):
@@ -362,6 +363,8 @@ def _refine(frame, u, v, minimize, sweeps=3, radius=0.25):
 
 
 def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> CurvatureReport:
+    if samples < 1:
+        raise PreconditionError("samples must be at least 1, got %d" % samples)
     frame = frame_matrices(alpha, eps)
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
@@ -397,6 +400,7 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
         bianchi_max=bianchi,
         min_pair=(tuple(map(float, pair_min[0])), tuple(map(float, pair_min[1]))),
         max_pair=(tuple(map(float, pair_max[0])), tuple(map(float, pair_max[1]))),
+        frame=frame,
     )
 
 
@@ -413,8 +417,8 @@ def pansu_consistency(alpha, eps, samples=2000, seed=0) -> PansuReport:
     """Sampled check that the conformal dimension bound is not violated:
     the trace of the normalized derivation should stay below
     topdim * sqrt(pinching ratio), up to sampling slack."""
-    frame = frame_matrices(alpha, eps)
     report = pinching_estimate(alpha, eps, samples=samples, seed=seed)
+    frame = report.frame
     b_est = math.sqrt(report.ratio)
     bound = frame.n * b_est * (1.0 + 1e-6) + 1e-9
     return PansuReport(

@@ -21,16 +21,13 @@ from .laws import (
     bracket_subspaces,
     center,
     check_jacobi,
-    derivations,
-    derived_series,
+    derived_algebra,
     exponential_radical,
     is_completely_solvable,
     is_derivation,
     is_nilpotent,
     law_add,
-    law_from_table,
     law_in_basis,
-    law_scale,
     lower_central_series,
     spectral_summary,
     subalgebra_law,
@@ -38,6 +35,8 @@ from .laws import (
 from .linalg import (
     Subspace,
     char_poly,
+    combine,
+    coordinates,
     extend_to_basis,
     frac,
     identity,
@@ -45,17 +44,18 @@ from .linalg import (
     is_zero_vec,
     jordan_chain_basis,
     mat_mul,
+    mat_pow,
+    mat_scale,
     mat_sub,
     mat_vec,
     matrix,
     min_poly,
     nullspace,
-    solve,
+    restrict,
     transpose,
     vec_add,
     vec_scale,
     vector,
-    zero_vec,
 )
 from . import polynomials as poly
 from .cohomology import adjoint_h_dim, betti_numbers
@@ -175,9 +175,9 @@ def linear_expandability(mu: LieLaw, omega) -> ExpandabilityReport:
     cocycle = apply_differential(mu, om_cochain).is_zero()
     quadratic_zero = True
     failing = None
-    n = mu.dim
-    for i, j, k in itertools.combinations(range(n), 3):
-        ei, ej, ek = (_unit(n, x) for x in (i, j, k))
+    e = identity(mu.dim)
+    for i, j, k in itertools.combinations(range(mu.dim), 3):
+        ei, ej, ek = e[i], e[j], e[k]
         r = om_law.bracket(om_law.bracket(ei, ej), ek)
         r = vec_add(r, om_law.bracket(om_law.bracket(ej, ek), ei))
         r = vec_add(r, om_law.bracket(om_law.bracket(ek, ei), ej))
@@ -198,12 +198,6 @@ def linear_expandability(mu: LieLaw, omega) -> ExpandabilityReport:
         failing_triple=None if expandable else failing,
         law_at_one=law_add(mu, om_law) if expandable else None,
     )
-
-
-def _unit(n, i):
-    v = zero_vec(n)
-    v[i] = Fraction(1)
-    return v
 
 
 # ------------------------------------------------ dimension obstructions ----
@@ -249,24 +243,17 @@ class SpectralReport:
 
 
 def _derived_action_charpoly(law: LieLaw):
-    series = derived_series(law)
-    der = series[1] if len(series) > 1 else Subspace.zero(law.dim)
+    der = derived_algebra(law)
     if der.dim != law.dim - 1:
         return None, "derived subalgebra is not of codimension 1"
+    rows = der.basis()
     if der.dim > 0:
-        sub, _ = subalgebra_law(law, der.basis())
+        sub, _ = subalgebra_law(law, rows)
         if not is_nilpotent(sub):
             return None, "derived subalgebra is not nilpotent"
-    a = extend_to_basis(der.basis(), law.dim)[0]
-    rows = der.basis()
-    cols = []
-    for v in rows:
-        img = law.bracket(a, v)
-        coords = solve(transpose(rows), img)
-        if coords is None:
-            return None, "derived subalgebra is not an ideal"
-        cols.append(coords)
-    return char_poly(transpose(cols)), ""
+    a = extend_to_basis(rows, law.dim)[0]
+    # [g, g] holds every bracket, so it is invariant and restrict never fails
+    return char_poly(restrict(law.ad(a), rows)), ""
 
 
 def spectral_obstruction(source: LieLaw, target: LieLaw) -> SpectralReport:
@@ -365,6 +352,7 @@ class Certificate:
     family: ScalingFamily | None = None
     limit: LieLaw | None = None
     target_name: str | None = None
+    induced: tuple | None = None   # h2c: the action induced on der / der2
 
 
 def lauret_certificate(law: LieLaw) -> Certificate:
@@ -373,15 +361,14 @@ def lauret_certificate(law: LieLaw) -> Certificate:
     n = law.dim
     if n < 2:
         return Certificate(False, "law has dimension %d, need at least 2" % n)
-    series = derived_series(law)
-    der = series[1] if len(series) > 1 else Subspace.zero(n)
+    der = derived_algebra(law)
     if der.dim != n - 1:
         return Certificate(False, "derived subalgebra has codimension %d, need 1" % (n - der.dim))
     if bracket_subspaces(law, der, der).dim != 0:
         return Certificate(False, "derived subalgebra is not abelian")
-    a = extend_to_basis(der.basis(), n)[0]
     rows = der.basis()
-    m = transpose([solve(transpose(rows), law.bracket(a, v)) for v in rows])
+    a = extend_to_basis(rows, n)[0]
+    m = restrict(law.ad(a), rows)
     ss = spectral_summary(m)
     if not ss.is_unipotent_after_scaling:
         return Certificate(
@@ -391,14 +378,7 @@ def lauret_certificate(law: LieLaw) -> Certificate:
         )
     lam = ss.single_real_eigenvalue
     nil = mat_sub([[x / lam for x in row] for row in m], identity(n - 1))
-    adapted = []
-    for chain in jordan_chain_basis(nil):
-        for u in chain:
-            # lift derived-subspace coordinates back into the ambient space
-            lifted = zero_vec(n)
-            for coef, base_vec in zip(u, rows):
-                lifted = vec_add(lifted, vec_scale(coef, base_vec))
-            adapted.append(lifted)
+    adapted = [combine(u, rows) for chain in jordan_chain_basis(nil) for u in chain]
     adapted.append(vec_scale(Fraction(1) / lam, a))
     p = inverse(transpose(adapted))
     fam = ScalingFamily(w=tuple(-i for i in range(1, n)) + (0,), p=tuple(map(tuple, p)))
@@ -415,7 +395,7 @@ def h2c_certificate(law: LieLaw) -> Certificate:
     n = law.dim
     if n != 4:
         return Certificate(False, "law has dimension %d, need 4" % n)
-    der = derived_series(law)[1] if len(derived_series(law)) > 1 else Subspace.zero(n)
+    der = derived_algebra(law)
     if der.dim != 3:
         return Certificate(False, "derived subalgebra has dimension %d, need 3" % der.dim)
     der2 = bracket_subspaces(law, der, der)
@@ -423,15 +403,13 @@ def h2c_certificate(law: LieLaw) -> Certificate:
         return Certificate(False, "second derived term has dimension %d, need 1" % der2.dim)
     rows = der.basis()
     a = extend_to_basis(rows, n)[0]
-    m = transpose([solve(transpose(rows), law.bracket(a, v)) for v in rows])
-    # coordinates of der2 within der
-    z_in_der = solve(transpose(rows), der2.basis()[0])
-    comp = extend_to_basis([z_in_der], 3)
-    b_cols = transpose([z_in_der] + comp)
-    mb = mat_mul(inverse(b_cols), mat_mul(m, b_cols))
+    # a basis z, c1, c2 of der that starts with der2; ad(a) acts on it by mb
+    z = der2.basis()[0]
+    comp = [combine(c, rows) for c in extend_to_basis(coordinates(rows, [z]), 3)]
+    mb = restrict(law.ad(a), [z] + comp)
     if mb[1][0] != 0 or mb[2][0] != 0:
         return Certificate(False, "second derived term is not invariant")
-    induced = [[mb[1][1], mb[1][2]], [mb[2][1], mb[2][2]]]
+    induced = [row[1:] for row in mb[1:]]
     ss = spectral_summary(induced)
     if not ss.is_unipotent_after_scaling:
         return Certificate(
@@ -457,26 +435,17 @@ def h2c_certificate(law: LieLaw) -> Certificate:
         xbar = [Fraction(1), Fraction(0)]
         ybar = [Fraction(0), Fraction(1)]
 
-    def lift(quot_vec):
-        v = zero_vec(n)
-        for coef, cv in zip(quot_vec, comp):
-            der_coords = vec_scale(coef, cv)
-            for c2, base_vec in zip(der_coords, rows):
-                v = vec_add(v, vec_scale(c2, base_vec))
-        return v
-
-    x_vec = lift(xbar)
-    y_vec = lift(ybar)
+    x_vec = combine(xbar, comp)
+    y_vec = combine(ybar, comp)
     z_vec = law.bracket(x_vec, y_vec)
     if is_zero_vec(z_vec):
         return Certificate(False, "derived subalgebra is not of Heisenberg type")
     a0 = vec_scale(Fraction(1) / lam, a)
     # kill the z-components of [a0, x] and [a0, y]
-    basis_cols = transpose([x_vec, y_vec, z_vec, a0])
-    cx = solve(basis_cols, law.bracket(a0, x_vec))
-    cy = solve(basis_cols, law.bracket(a0, y_vec))
+    cx, cy = coordinates([x_vec, y_vec, z_vec, a0],
+                         [law.bracket(a0, x_vec), law.bracket(a0, y_vec)])
     beta, gamma = cx[2], cy[2]
-    a3 = vec_add(a0, vec_add(vec_scale(-gamma, x_vec), vec_scale(beta, y_vec)))
+    a3 = combine([1, -gamma, beta], [a0, x_vec, y_vec])
     adapted = [x_vec, y_vec, z_vec, a3]
     p = inverse(transpose(adapted))
     fam = ScalingFamily(w=(0, -1, -1, 0), p=tuple(map(tuple, p)))
@@ -484,7 +453,8 @@ def h2c_certificate(law: LieLaw) -> Certificate:
     target = catalog("h2c_solvable")
     if limit != target:
         raise LieSbeError("certificate produced an unexpected limit")
-    return Certificate(True, "contracts onto h2c_solvable", fam, limit, "h2c_solvable")
+    return Certificate(True, "contracts onto h2c_solvable", fam, limit, "h2c_solvable",
+                       tuple(map(tuple, induced)))
 
 
 # ------------------------------------------------------ graded nilpotent ----
@@ -637,9 +607,10 @@ def modification(law: LieLaw, mats, tau) -> ModificationResult:
     delta_table = {}
     new_table = {}
     closure = True
+    e = identity(n)
     for i in range(n):
         for j in range(i + 1, n):
-            ei, ej = _unit(n, i), _unit(n, j)
+            ei, ej = e[i], e[j]
             d_term = vec_add(mat_vec(tau_op(ei), ej), vec_scale(-1, mat_vec(tau_op(ej), ei)))
             z = vec_add(law.bracket_basis(i, j), d_term)
             if not is_zero_vec(mat_vec(tau, z)):
@@ -652,9 +623,9 @@ def modification(law: LieLaw, mats, tau) -> ModificationResult:
                 new_table[(i, j)] = row_z
     twisting = True
     for i in range(n):
-        op = tau_op(_unit(n, i))
+        op = tau_op(e[i])
         for l in range(n):
-            if not is_zero_vec(mat_vec(tau, mat_vec(op, _unit(n, l)))):
+            if not is_zero_vec(mat_vec(tau, mat_vec(op, e[l]))):
                 twisting = False
     new_law = LieLaw(n, new_table, basis=law.basis)
     return ModificationResult(
@@ -731,33 +702,19 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
             acc = Subspace.span(n, acc.basis() + [v])
     m = len(hbar)
 
-    # restrict each ad(hbar_j) to r
-    actions = []
-    for v in hbar:
-        cols = []
-        for rv in r_rows:
-            img = law.bracket(v, rv)
-            coords = solve(transpose(r_rows), img)
-            if coords is None:
-                raise LieSbeError("exponential radical is not an ideal")
-            cols.append(coords)
-        actions.append(transpose(cols))
+    # each ad(hbar_j) on r; r is a stable term of the lower central series,
+    # so it holds [g, r] and restrict never fails
+    actions = [restrict(law.ad(v), r_rows) for v in hbar]
 
     # simultaneous generalized eigenspaces with rational weights
-    spaces = [[_unit(rd, i) for i in range(rd)]] if rd else []
+    spaces = [identity(rd)] if rd else []
     weights_for = [()] if rd else []
     for act in actions:
         new_spaces, new_weights = [], []
         for basis_u, wt in zip(spaces, weights_for):
-            cols_u = transpose(basis_u)
-            restr_cols = []
-            for u in basis_u:
-                img = mat_vec(act, u)
-                coords = solve(cols_u, img)
-                if coords is None:
-                    raise LieSbeError("weight space is not invariant")
-                restr_cols.append(coords)
-            restr = transpose(restr_cols)
+            restr = restrict(act, basis_u)
+            if restr is None:
+                raise LieSbeError("weight space is not invariant")
             cp = char_poly(restr)
             roots = poly.rational_roots(cp)
             if sum(mult for _, mult in roots) != len(basis_u):
@@ -771,19 +728,8 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
                 )
             du = len(basis_u)
             for root, _mult in roots:
-                shifted = [[restr[i][j] - (root if i == j else 0) for j in range(du)]
-                           for i in range(du)]
-                powm = identity(du)
-                for _ in range(du):
-                    powm = mat_mul(shifted, powm)
-                ker = nullspace(powm, cols=du)
-                lifted = []
-                for kv in ker:
-                    out = zero_vec(rd)
-                    for coef, u in zip(kv, basis_u):
-                        out = vec_add(out, vec_scale(coef, u))
-                    lifted.append(out)
-                new_spaces.append(lifted)
+                powm = mat_pow(mat_sub(restr, mat_scale(root, identity(du))), du)
+                new_spaces.append([combine(kv, basis_u) for kv in nullspace(powm, cols=du)])
                 new_weights.append(wt + (root,))
         spaces, weights_for = new_spaces, new_weights
 
@@ -792,10 +738,8 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
     coord_weights = []
     coord_depths = []
     for basis_u, wt in zip(spaces, weights_for):
-        shifted_ops = [
-            [[act[i][j] - (lamb if i == j else 0) for j in range(rd)] for i in range(rd)]
-            for act, lamb in zip(actions, wt)
-        ]
+        shifted_ops = [mat_sub(act, mat_scale(lamb, identity(rd)))
+                       for act, lamb in zip(actions, wt)]
         for u in basis_u:
             depth = 1
             probe = [u]
@@ -818,14 +762,7 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
             coord_weights.append(wt)
             coord_depths.append(depth)
 
-    # ambient lifts of the adapted r-basis
-    def lift_r(u):
-        out = zero_vec(n)
-        for coef, base_vec in zip(u, r_rows):
-            out = vec_add(out, vec_scale(coef, base_vec))
-        return out
-
-    lifted_r = [lift_r(u) for u in adapted_r]
+    lifted_r = [combine(u, r_rows) for u in adapted_r]
     full_cols = transpose(lifted_r + hbar)
 
     # quotient law on h/w via the adapted coordinates: the dropped r-part of
@@ -836,10 +773,7 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
         for j in range(i + 1, m):
             row = h_in_big.table.get((rd + i, rd + j), {})
             keep = {k - rd: c for k, c in row.items() if k >= rd}
-            dropped_vec = zero_vec(n)
-            for k, c in row.items():
-                if k < rd:
-                    dropped_vec = vec_add(dropped_vec, vec_scale(c, lifted_r[k]))
+            dropped_vec = combine([row.get(k, 0) for k in range(rd)], lifted_r)
             if not w.contains(dropped_vec):
                 raise LieSbeError("bracket of Cartan elements leaves h + w")
             if keep:

@@ -23,7 +23,7 @@ from .laws import (
     LieLaw,
     SpectralSummary,
     bracket_subspaces,
-    derived_series,
+    derived_algebra,
     direct_sum,
     is_completely_solvable,
     is_derivation,
@@ -35,18 +35,17 @@ from .linalg import (
     Subspace,
     block_diag,
     char_poly,
+    diagonal,
     extend_to_basis,
     frac,
     identity,
-    inverse,
-    mat_mul,
+    jordan_block,
     mat_sub,
     matrix,
     min_poly,
     nullspace,
-    solve,
+    restrict,
     trace,
-    transpose,
 )
 
 NUMERIC_TOL = 1e-9
@@ -223,23 +222,6 @@ class ClassificationVerdict:
     evidence: tuple
 
 
-def _codim_one_action(law: LieLaw, der: Subspace):
-    rows = der.basis()
-    a = extend_to_basis(rows, law.dim)[0]
-    return transpose([solve(transpose(rows), law.bracket(a, v)) for v in rows])
-
-
-def _heis_induced_block(law: LieLaw, der: Subspace, der2: Subspace):
-    """Action induced on der/der2 by a complement vector, as a 2x2 matrix."""
-    rows = der.basis()
-    m = _codim_one_action(law, der)
-    z_in_der = solve(transpose(rows), der2.basis()[0])
-    comp = extend_to_basis([z_in_der], 3)
-    b_cols = transpose([z_in_der] + comp)
-    mb = mat_mul(inverse(b_cols), mat_mul(m, b_cols))
-    return [[mb[1][1], mb[1][2]], [mb[2][1], mb[2][2]]]
-
-
 def classify_hyperbolic(law: LieLaw) -> ClassificationVerdict:
     """Decide whether the law is the one underlying a real hyperbolic space,
     the complex hyperbolic plane, or neither.
@@ -250,11 +232,11 @@ def classify_hyperbolic(law: LieLaw) -> ClassificationVerdict:
         raise PreconditionError("law is not completely solvable")
     n = law.dim
     evidence = []
-    series = derived_series(law)
-    der = series[1] if len(series) > 1 else Subspace.zero(n)
+    der = derived_algebra(law)
     if der.dim == n - 1:
         if bracket_subspaces(law, der, der).dim == 0:
-            ss = spectral_summary(_codim_one_action(law, der))
+            rows = der.basis()
+            ss = spectral_summary(restrict(law.ad(extend_to_basis(rows, n)[0]), rows))
             if ss.is_unipotent_after_scaling:
                 return ClassificationVerdict(
                     target="real_hyperbolic",
@@ -278,9 +260,7 @@ def classify_hyperbolic(law: LieLaw) -> ClassificationVerdict:
     if n == 4:
         cert = h2c_certificate(law)
         if cert.applies:
-            der2 = bracket_subspaces(law, der, der)
-            induced = _heis_induced_block(law, der, der2)
-            squarefree = poly.is_squarefree(min_poly(induced))
+            squarefree = poly.is_squarefree(min_poly(cert.induced))
             return ClassificationVerdict(
                 target="complex_hyperbolic_plane",
                 n=2,
@@ -318,20 +298,6 @@ class Table2Report:
     dashed_note: str
 
 
-def _jordan(lam, size):
-    lam = frac(lam)
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = lam
-        if i + 1 < size:
-            m[i][i + 1] = Fraction(1)
-    return m
-
-
-def _diag(*entries):
-    return block_diag([[[frac(e)]] for e in entries])
-
-
 def table2_report() -> Table2Report:
     """Catalog of the low-dimensional purely real data, grouped so that rows
     in one block have equal boundaries; sample parameters 3/2 and 2 stand in
@@ -345,29 +311,29 @@ def table2_report() -> Table2Report:
     r3 = LieLaw(3, {}, basis=("X1", "X2", "X3"))
     heis = catalog("heis(3)")
     spec_blocks = (
-        (("R2 x| diag(1, 3/2)", r2, _diag(1, lam)),),
+        (("R2 x| diag(1, 3/2)", r2, diagonal(1, lam)),),
         (
-            ("R2 x| diag(1, 1)", r2, _diag(1, 1)),
-            ("R2 x| J2(3/2)", r2, _jordan(lam, 2)),
+            ("R2 x| diag(1, 1)", r2, diagonal(1, 1)),
+            ("R2 x| J2(3/2)", r2, jordan_block(lam, 2)),
         ),
         (
-            ("R3 x| diag(1, 3/2, 3/2)", r3, _diag(1, lam, lam)),
-            ("R3 x| (1) + J2(3/2)", r3, block_diag([[[Fraction(1)]], _jordan(lam, 2)])),
+            ("R3 x| diag(1, 3/2, 3/2)", r3, diagonal(1, lam, lam)),
+            ("R3 x| (1) + J2(3/2)", r3, block_diag([[[Fraction(1)]], jordan_block(lam, 2)])),
         ),
         (
-            ("R3 x| diag(1, 1, 3/2)", r3, _diag(1, 1, lam)),
-            ("R3 x| J2(1) + (3/2)", r3, block_diag([_jordan(1, 2), [[lam]]])),
+            ("R3 x| diag(1, 1, 3/2)", r3, diagonal(1, 1, lam)),
+            ("R3 x| J2(1) + (3/2)", r3, block_diag([jordan_block(1, 2), [[lam]]])),
         ),
         (
-            ("R3 x| diag(1, 1, 1)", r3, _diag(1, 1, 1)),
-            ("R3 x| (1) + J2(1)", r3, block_diag([[[Fraction(1)]], _jordan(1, 2)])),
-            ("R3 x| J3(1)", r3, _jordan(1, 3)),
+            ("R3 x| diag(1, 1, 1)", r3, diagonal(1, 1, 1)),
+            ("R3 x| (1) + J2(1)", r3, block_diag([[[Fraction(1)]], jordan_block(1, 2)])),
+            ("R3 x| J3(1)", r3, jordan_block(1, 3)),
         ),
-        (("R3 x| diag(1, 3/2, 2)", r3, _diag(1, lam, mu)),),
-        (("heis x| diag(1, 3/2, 5/2)", heis, _diag(1, lam, 1 + lam)),),
+        (("R3 x| diag(1, 3/2, 2)", r3, diagonal(1, lam, mu)),),
+        (("heis x| diag(1, 3/2, 5/2)", heis, diagonal(1, lam, 1 + lam)),),
         (
-            ("heis x| diag(1, 1, 2)", heis, _diag(1, 1, 2)),
-            ("heis x| J2(1) + (2)", heis, block_diag([_jordan(1, 2), [[mu]]])),
+            ("heis x| diag(1, 1, 2)", heis, diagonal(1, 1, 2)),
+            ("heis x| J2(1) + (2)", heis, block_diag([jordan_block(1, 2), [[mu]]])),
         ),
     )
     blocks = []

@@ -8,7 +8,7 @@ internally; the JSON interchange layer and printed reports are 1-based.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polynomials as poly
@@ -18,6 +18,7 @@ from .linalg import (
     Subspace,
     Vec,
     char_poly,
+    coordinates,
     extend_to_basis,
     frac,
     identity,
@@ -28,12 +29,9 @@ from .linalg import (
     min_poly,
     nullspace,
     rank,
-    rref,
-    solve,
     trace,
     transpose,
     vec_add,
-    vec_scale,
     vector,
     zero_vec,
 )
@@ -125,12 +123,7 @@ class LieLaw:
     def ad(self, v) -> Mat:
         """Matrix of x -> [v, x] in the standard basis."""
         v = vector(v)
-        cols = []
-        for j in range(self.dim):
-            ej = zero_vec(self.dim)
-            ej[j] = Fraction(1)
-            cols.append(self.bracket(v, ej))
-        return transpose(cols)
+        return transpose([self.bracket(v, e) for e in identity(self.dim)])
 
     def ad_basis(self, i: int) -> Mat:
         cols = [self.bracket_basis(i, j) for j in range(self.dim)]
@@ -148,19 +141,14 @@ class JacobiReport:
 
 
 def check_jacobi(law: LieLaw) -> JacobiReport:
+    e = identity(law.dim)
     for i, j, k in itertools.combinations(range(law.dim), 3):
-        r = law.bracket(law.bracket_basis(i, j), _unit(law.dim, k))
-        r = vec_add(r, law.bracket(law.bracket_basis(j, k), _unit(law.dim, i)))
-        r = vec_add(r, law.bracket(law.bracket_basis(k, i), _unit(law.dim, j)))
+        r = law.bracket(law.bracket_basis(i, j), e[k])
+        r = vec_add(r, law.bracket(law.bracket_basis(j, k), e[i]))
+        r = vec_add(r, law.bracket(law.bracket_basis(k, i), e[j]))
         if not is_zero_vec(r):
             return JacobiReport(False, (i + 1, j + 1, k + 1), tuple(r))
     return JacobiReport(True)
-
-
-def _unit(n: int, i: int) -> Vec:
-    v = zero_vec(n)
-    v[i] = Fraction(1)
-    return v
 
 
 def law_from_table(dim: int, entries, basis=None) -> LieLaw:
@@ -226,6 +214,12 @@ def lower_central_series(law: LieLaw) -> list:
             break
         series.append(nxt)
     return series
+
+
+def derived_algebra(law: LieLaw) -> Subspace:
+    """[g, g]."""
+    full = Subspace.full(law.dim)
+    return bracket_subspaces(law, full, full)
 
 
 def derived_series(law: LieLaw) -> list:
@@ -325,11 +319,12 @@ def derivations(law: LieLaw) -> DerivationData:
 
 def is_derivation(law: LieLaw, d: Mat) -> bool:
     n = law.dim
+    e = identity(n)
     for i in range(n):
         for j in range(i + 1, n):
             lhs = mat_vec(d, law.bracket_basis(i, j))
             cols = transpose(d)
-            rhs = vec_add(law.bracket(cols[i], _unit(n, j)), law.bracket(_unit(n, i), cols[j]))
+            rhs = vec_add(law.bracket(cols[i], e[j]), law.bracket(e[i], cols[j]))
             if lhs != rhs:
                 return False
     return True
@@ -366,20 +361,18 @@ def subalgebra_law(law: LieLaw, vectors, basis=None):
     sub = Subspace.span(law.dim, vecs)
     if sub.dim != len(vecs):
         raise InputError("subalgebra basis vectors are dependent")
+    pairs = list(itertools.combinations(range(len(vecs)), 2))
+    images = coordinates(vecs, [law.bracket(vecs[a], vecs[b]) for a, b in pairs])
     table = {}
-    m = len(vecs)
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = law.bracket(vecs[a], vecs[b])
-            coords = solve(transpose(vecs), w)
-            if coords is None:
-                raise PreconditionError(
-                    "span is not closed: [v%d, v%d] leaves the subspace" % (a + 1, b + 1)
-                )
-            row = {k: c for k, c in enumerate(coords) if c != 0}
-            if row:
-                table[(a, b)] = row
-    return LieLaw(m, table, basis=basis), vecs
+    for (a, b), coords in zip(pairs, images):
+        if coords is None:
+            raise PreconditionError(
+                "span is not closed: [v%d, v%d] leaves the subspace" % (a + 1, b + 1)
+            )
+        row = {k: c for k, c in enumerate(coords) if c != 0}
+        if row:
+            table[(a, b)] = row
+    return LieLaw(len(vecs), table, basis=basis), vecs
 
 
 def is_ideal(law: LieLaw, sub: Subspace) -> bool:
@@ -394,17 +387,15 @@ def quotient_law(law: LieLaw, ideal: Subspace, basis=None):
     if not is_ideal(law, ideal):
         raise PreconditionError("subspace is not an ideal")
     comp = extend_to_basis(ideal.basis(), law.dim)
-    full_cols = transpose(ideal.basis() + comp)
     m = len(comp)
     d0 = ideal.dim
+    pairs = list(itertools.combinations(range(m), 2))
+    images = coordinates(ideal.basis() + comp, [law.bracket(comp[a], comp[b]) for a, b in pairs])
     table = {}
-    for a in range(m):
-        for b in range(a + 1, m):
-            w = law.bracket(comp[a], comp[b])
-            coords = solve(full_cols, w)
-            row = {k - d0: c for k, c in enumerate(coords) if c != 0 and k >= d0}
-            if row:
-                table[(a, b)] = row
+    for (a, b), coords in zip(pairs, images):
+        row = {k - d0: c for k, c in enumerate(coords) if c != 0 and k >= d0}
+        if row:
+            table[(a, b)] = row
     return LieLaw(m, table, basis=basis) if m else None, comp
 
 

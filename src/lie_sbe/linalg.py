@@ -6,7 +6,6 @@ Everything here is exact; no floating point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,20 +100,26 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def rank(m: Mat) -> int:
-    """Rank by fraction-free (Bareiss) elimination on an integer copy.
+def _integer_rows(m: Mat):
+    """Each row times the lcm of its denominators, and those multipliers.
 
-    Row denominators are cleared first; row scaling does not change rank.
+    Row scaling leaves the rank alone and scales the determinant by the
+    product of the multipliers.
     """
-    if not m or not m[0]:
-        return 0
-    a = []
-    for row in m:
-        d = math.lcm(*(frac(x).denominator for x in row))
-        a.append([int(frac(x) * d) for x in row])
+    dens = [math.lcm(*(frac(x).denominator for x in row)) for row in m]
+    return [[int(frac(x) * d) for x in row] for row, d in zip(m, dens)], dens
+
+
+def _bareiss(a):
+    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
+
+    Returns (rank, last pivot times the sign of the row swaps); for a square
+    matrix of full rank the second value is its determinant.
+    """
     rows, cols = len(a), len(a[0])
     r = 0
     prev = 1
+    sign = 1
     for c in range(cols):
         piv = None
         for i in range(r, rows):
@@ -123,7 +128,9 @@ def rank(m: Mat) -> int:
                 break
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(c + 1, cols):
                 a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
@@ -132,7 +139,14 @@ def rank(m: Mat) -> int:
         r += 1
         if r == rows:
             break
-    return r
+    return r, sign * prev
+
+
+def rank(m: Mat) -> int:
+    """Rank by Bareiss elimination on an integer copy."""
+    if not m or not m[0]:
+        return 0
+    return _bareiss(_integer_rows(m)[0])[0]
 
 
 def rref(m: Mat):
@@ -206,7 +220,8 @@ def solve(a: Mat, b: Vec):
 
 def inverse(m: Mat) -> Mat:
     n = len(m)
-    aug = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
+    eye = identity(n)
+    aug = [list(row) + eye[i] for i, row in enumerate(m)]
     r, pivots = rref(aug)
     if pivots[:n] != list(range(n)) or len(r) != n:
         raise ValueError("matrix is singular")
@@ -214,27 +229,43 @@ def inverse(m: Mat) -> Mat:
 
 
 def det(m: Mat) -> Fraction:
-    n = len(m)
-    a = [list(row) for row in m]
-    out = Fraction(1)
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        inv = Fraction(1) / a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c] != 0:
-                f = a[i][c] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    if not m:
+        return Fraction(1)
+    a, dens = _integer_rows(m)
+    r, d = _bareiss(a)
+    return Fraction(d, math.prod(dens)) if r == len(m) else Fraction(0)
+
+
+def coordinates(rows, vectors) -> list:
+    """Coordinates of each vector over the independent rows, or None for a
+    vector outside their span; one RREF of [rows^T | vectors^T]."""
+    if not vectors:
+        return []
+    k = len(rows)
+    red, pivots = rref([list(col) for col in zip(*rows, *vectors)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("rows are dependent")
+    out = []
+    for j in range(k, k + len(vectors)):
+        if any(row[j] != 0 for row in red[k:]):
+            out.append(None)
+        else:
+            out.append([row[j] for row in red[:k]])
     return out
+
+
+def restrict(op: Mat, rows) -> Mat | None:
+    """Matrix of op on the span of the independent rows, in their
+    coordinates; None when op does not map the span into itself."""
+    cols = coordinates(rows, [mat_vec(op, v) for v in rows])
+    if any(c is None for c in cols):
+        return None
+    return transpose(cols)
+
+
+def combine(coeffs, rows) -> Vec:
+    """The coordinate lift sum_i coeffs[i] * rows[i]."""
+    return [sum(c * x for c, x in zip(coeffs, col)) for col in zip(*rows)]
 
 
 def char_poly(m: Mat) -> list:
@@ -265,11 +296,9 @@ def min_poly(m: Mat) -> list:
         powers.append(mat_mul(m, powers[-1]))
         cand = flat(powers[-1])
         # is the new power in the span of the old ones?
-        sol = solve(transpose(rows), cand)
+        sol = coordinates(rows, [cand])[0]
         if sol is not None:
-            k = len(rows)
-            coeffs = [-c for c in sol] + [Fraction(1)]
-            return coeffs
+            return [-c for c in sol] + [Fraction(1)]
         rows.append(cand)
 
 
@@ -327,29 +356,18 @@ class Subspace:
         # x = sum s_i a_i = sum t_j b_j: kernel of [A^T | -B^T]
         block = [list(ra) + [-x for x in rb] for ra, rb in zip(
             transpose(a), transpose(b))]
-        vecs = []
-        for k in nullspace(block):
-            s = k[: len(a)]
-            v = zero_vec(self.ambient)
-            for coef, av in zip(s, a):
-                v = vec_add(v, vec_scale(coef, av))
-            vecs.append(v)
-        return Subspace.span(self.ambient, vecs)
+        return Subspace.span(self.ambient, [combine(k[: len(a)], a) for k in nullspace(block)])
 
     def coordinates(self, v):
         """Coefficients of v over this basis, or None if v is outside."""
-        if self.dim == 0:
-            return [] if is_zero_vec(vector(v)) else None
-        return solve(transpose(self.basis()), vector(v))
+        return coordinates(self.basis(), [vector(v)])[0]
 
 
 def extend_to_basis(vectors, ambient: int) -> list:
     """Standard basis vectors extending the given independent set to a basis."""
     sub = Subspace.span(ambient, vectors)
     extra = []
-    for i in range(ambient):
-        e = zero_vec(ambient)
-        e[i] = Fraction(1)
+    for e in identity(ambient):
         if not sub.contains(e):
             extra.append(e)
             sub = Subspace.span(ambient, sub.basis() + [e])
@@ -395,6 +413,18 @@ def jordan_chain_basis(n_mat: Mat) -> list:
 
 def gram_matrix(vectors) -> Mat:
     return [[dot(u, v) for v in vectors] for u in vectors]
+
+
+def diagonal(*entries) -> Mat:
+    return block_diag([[[e]] for e in entries])
+
+
+def jordan_block(lam, size: int) -> Mat:
+    """lam on the diagonal and 1 on the superdiagonal."""
+    m = mat_scale(lam, identity(size))
+    for i in range(size - 1):
+        m[i][i + 1] = Fraction(1)
+    return m
 
 
 def block_diag(blocks) -> Mat:

@@ -46,23 +46,8 @@ from lie_sbe.laws import (
     law_add,
     semidirect_rank_one,
 )
-from lie_sbe.linalg import (Subspace, det, identity, matrix, nullspace, rank,
-                            transpose)
-
-
-def _diag(*entries):
-    n = len(entries)
-    return [[Fraction(entries[i]) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)]
-
-
-def _jordan(lam, size):
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = Fraction(lam)
-        if i + 1 < size:
-            m[i][i + 1] = Fraction(1)
-    return m
+from lie_sbe.linalg import (Subspace, det, diagonal, identity, jordan_block, matrix,
+                            nullspace, rank, transpose)
 
 
 # ------------------------------------------------------------- criterion 1 --
@@ -291,7 +276,7 @@ def _verified_contractions():
     lam = apply_family(sp, ScalingFamily(w=(0, -1, -1, 0)))
     pairs.append((sp, contraction_limit(lam), catalog("h2c_solvable")))
 
-    g = semidirect_rank_one(LieLaw(3, {}), _jordan(1, 3))
+    g = semidirect_rank_one(LieLaw(3, {}), jordan_block(1, 3))
     lam = apply_family(g, ScalingFamily(w=(-1, -2, -3, 0)))
     pairs.append((g, contraction_limit(lam), catalog("b(4,R)")))
 
@@ -343,11 +328,11 @@ def _table2_inputs():
         (semidirect_rank_one(r3, identity(3)), ("real_hyperbolic", 4)),
         (semidirect_rank_one(r3, matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])),
          ("real_hyperbolic", 4)),
-        (semidirect_rank_one(r3, _jordan(1, 3)), ("real_hyperbolic", 4)),
-        (semidirect_rank_one(heis, _diag(1, 1, 2)), ("complex_hyperbolic_plane", 2)),
+        (semidirect_rank_one(r3, jordan_block(1, 3)), ("real_hyperbolic", 4)),
+        (semidirect_rank_one(heis, diagonal(1, 1, 2)), ("complex_hyperbolic_plane", 2)),
         (semidirect_rank_one(heis, matrix([[1, 1, 0], [0, 1, 0], [0, 0, 2]])),
          ("complex_hyperbolic_plane", 2)),
-        (semidirect_rank_one(r3, _diag(1, 1, Fraction(3, 2))), ("none", None)),
+        (semidirect_rank_one(r3, diagonal(1, 1, Fraction(3, 2))), ("none", None)),
     ]
 
 
@@ -409,7 +394,7 @@ def test_c09_cornulier_s_prime():
 
 def test_c09_cornulier_s_second():
     res = cornulier_reduction(catalog("s_second"), [[0, 0, 0, 1]])
-    assert res.g_inf == semidirect_rank_one(LieLaw(3, {}), _diag(1, 1, 2))
+    assert res.g_inf == semidirect_rank_one(LieLaw(3, {}), diagonal(1, 1, 2))
 
 
 def test_c09_cornulier_nilpotent_inputs():

@@ -218,6 +218,15 @@ def test_pinch(capsys):
     assert payload["pansu"]["holds"] is True
 
 
+def test_pinch_without_samples_is_exit_3(capsys):
+    code, out, err = run_cli(
+        capsys, ["pinch", "--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--samples", "0"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "samples" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_buildings_single(capsys):
     code, payload, _ = run_json(capsys, ["buildings", "--p", "5", "--q", "2"])
     assert code == 0
@@ -298,6 +307,21 @@ def test_external_catalog_dir(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, ["check", "catalog:mine"])
     assert code == 3
     assert "mine" in err
+
+
+def test_external_catalog_wins_over_builtins(tmp_path, capsys, monkeypatch):
+    # the built-in aff is two-dimensional; the external aff.json holds heis(3)
+    (tmp_path / "aff.json").write_text(jsonio.law_dumps(catalog("heis(3)")))
+    monkeypatch.setenv("LIE_SBE_CATALOG", str(tmp_path))
+
+    code, payload, _ = run_json(capsys, ["catalog", "dump", "aff"])
+    assert code == 0
+    assert payload["dim"] == 3
+
+    code, payload, _ = run_json(capsys, ["catalog", "list"])
+    assert code == 0
+    assert payload["names"].count("aff") == 1
+    assert len(payload["names"]) == len(set(payload["names"]))
 
 
 def test_skip_validate_flag(tmp_path, capsys):

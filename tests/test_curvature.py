@@ -139,6 +139,12 @@ def test_pinching_is_seed_reproducible():
     assert a.min_pair == b.min_pair
 
 
+def test_pinching_needs_a_sample():
+    for samples in (0, -5):
+        with pytest.raises(PreconditionError, match="samples"):
+            pinching_estimate([[1, 1], [0, 1]], 0.1, samples=samples)
+
+
 def test_pansu_consistency_holds_on_jordan():
     p = pansu_consistency([[1, 1], [0, 1]], 0.1, samples=300, seed=3)
     assert p.holds

@@ -176,6 +176,14 @@ def test_lauret_certificate():
     assert not cert3.applies and cert3.reason
 
 
+def test_lauret_certificate_on_a_perfect_law():
+    # sl2 is perfect: [g, g] = g, so the derived subalgebra has codimension 0
+    sl2 = LieLaw(3, {(0, 1): {2: 1}, (0, 2): {1: -1}, (1, 2): {0: 1}})
+    cert = lauret_certificate(sl2)
+    assert not cert.applies
+    assert cert.reason == "derived subalgebra has codimension 0, need 1"
+
+
 def test_h2c_certificate():
     cert = h2c_certificate(catalog("s_prime"))
     assert cert.applies

@@ -15,24 +15,7 @@ from lie_sbe.heintze import (
     table2_report,
 )
 from lie_sbe.laws import LieLaw, basis_change, check_jacobi, semidirect_rank_one
-from lie_sbe.linalg import det, identity, matrix
-
-
-def _jordan(lam, size):
-    m = [[Fraction(0)] * size for _ in range(size)]
-    for i in range(size):
-        m[i][i] = Fraction(lam)
-        if i + 1 < size:
-            m[i][i + 1] = Fraction(1)
-    return m
-
-
-def _diag(*entries):
-    n = len(entries)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i, e in enumerate(entries):
-        m[i][i] = Fraction(e)
-    return m
+from lie_sbe.linalg import block_diag, det, diagonal, identity, jordan_block, matrix
 
 
 def _rand_invertible(rng, n):
@@ -43,11 +26,11 @@ def _rand_invertible(rng, n):
 
 
 def test_normalize_derivation_exact_paths():
-    nd = normalize_derivation(_diag(2, 4))
+    nd = normalize_derivation(diagonal(2, 4))
     assert nd.exact and nd.m == Fraction(2)
-    assert nd.matrix == tuple(map(tuple, _diag(1, 2)))
+    assert nd.matrix == tuple(map(tuple, diagonal(1, 2)))
 
-    nd2 = normalize_derivation(_jordan(3, 2))
+    nd2 = normalize_derivation(jordan_block(3, 2))
     assert nd2.exact and nd2.m == Fraction(3)
     assert nd2.matrix[0][0] == 1 and nd2.matrix[0][1] == Fraction(1, 3)
 
@@ -75,7 +58,7 @@ def test_normalize_derivation_numeric_fallback():
 
 def test_normalize_derivation_rejects_nonpositive():
     with pytest.raises(PreconditionError):
-        normalize_derivation(_diag(1, -1))
+        normalize_derivation(diagonal(1, -1))
     with pytest.raises(PreconditionError):
         normalize_derivation(matrix([[0, 1], [0, 0]]))
 
@@ -83,20 +66,20 @@ def test_normalize_derivation_rejects_nonpositive():
 def test_heintze_check_guards():
     heis = catalog("heis(3)")
     with pytest.raises(InputError):
-        heintze_check(heis, _diag(1, 1))  # wrong size
+        heintze_check(heis, diagonal(1, 1))  # wrong size
     with pytest.raises(PreconditionError):
-        heintze_check(catalog("b(3,R)"), _diag(1, 1, 1))  # base not nilpotent
+        heintze_check(catalog("b(3,R)"), diagonal(1, 1, 1))  # base not nilpotent
     with pytest.raises(PreconditionError):
-        heintze_check(heis, _diag(1, 1, 1))  # not a derivation of heis
+        heintze_check(heis, diagonal(1, 1, 1))  # not a derivation of heis
     with pytest.raises(PreconditionError):
-        heintze_check(LieLaw(2, {}), _diag(1, -1))  # spectrum leaves the half-plane
-    hd = heintze_check(heis, _diag(1, 1, 2))
+        heintze_check(LieLaw(2, {}), diagonal(1, -1))  # spectrum leaves the half-plane
+    hd = heintze_check(heis, diagonal(1, 1, 2))
     assert hd.spectral.all_roots_positive_real_part
     assert check_jacobi(hd.extension()).ok
 
 
 def test_boundary_invariants_complex_model():
-    hd = heintze_check(catalog("heis(3)"), _diag(1, 1, 2))
+    hd = heintze_check(catalog("heis(3)"), diagonal(1, 1, 2))
     inv = boundary_invariants(hd)
     assert inv.exact
     assert inv.topdim == 3
@@ -112,17 +95,12 @@ def test_boundary_invariants_real_model():
     assert inv.pansu_bound == -1
 
 
-def _diag_plus_j2():
-    # (1) + J2(1) on R^3
-    return matrix([[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-
-
 def test_traits():
-    hd = heintze_check(catalog("heis(3)"), _diag(1, 1, 2))
+    hd = heintze_check(catalog("heis(3)"), diagonal(1, 1, 2))
     tr = heintze_traits(hd)
     assert tr.purely_real and tr.carnot_type
 
-    hd2 = heintze_check(LieLaw(3, {}), _diag_plus_j2())
+    hd2 = heintze_check(LieLaw(3, {}), block_diag([diagonal(1), jordan_block(1, 2)]))
     tr2 = heintze_traits(hd2)
     assert tr2.purely_real and not tr2.carnot_type
 
@@ -149,7 +127,7 @@ def test_amalgam_builds_block_action():
 
 
 def test_classify_real_hyperbolic():
-    for alpha in (identity(3), _diag_plus_j2(), _jordan(1, 3)):
+    for alpha in (identity(3), block_diag([diagonal(1), jordan_block(1, 2)]), jordan_block(1, 3)):
         g = semidirect_rank_one(LieLaw(3, {}), alpha)
         verdict = classify_hyperbolic(g)
         assert verdict.target == "real_hyperbolic"
@@ -157,7 +135,7 @@ def test_classify_real_hyperbolic():
 
 
 def test_classify_complex_hyperbolic():
-    g1 = semidirect_rank_one(catalog("heis(3)"), _diag(1, 1, 2))
+    g1 = semidirect_rank_one(catalog("heis(3)"), diagonal(1, 1, 2))
     v1 = classify_hyperbolic(g1)
     assert v1.target == "complex_hyperbolic_plane"
     assert v1.n == 2
@@ -177,12 +155,12 @@ def test_classify_complex_hyperbolic():
 
 
 def test_classify_none_cases():
-    g = semidirect_rank_one(LieLaw(3, {}), _diag(1, 1, Fraction(3, 2)))
+    g = semidirect_rank_one(LieLaw(3, {}), diagonal(1, 1, Fraction(3, 2)))
     verdict = classify_hyperbolic(g)
     assert verdict.target == "none"
     assert verdict.evidence
 
-    g2 = semidirect_rank_one(catalog("heis(3)"), _diag(1, Fraction(3, 2), Fraction(5, 2)))
+    g2 = semidirect_rank_one(catalog("heis(3)"), diagonal(1, Fraction(3, 2), Fraction(5, 2)))
     assert classify_hyperbolic(g2).target == "none"
 
 
@@ -199,8 +177,8 @@ def test_classify_is_basis_invariant():
     rng = random.Random(51)
     inputs = [
         semidirect_rank_one(LieLaw(3, {}), identity(3)),
-        semidirect_rank_one(catalog("heis(3)"), _diag(1, 1, 2)),
-        semidirect_rank_one(LieLaw(3, {}), _diag(1, 1, Fraction(3, 2))),
+        semidirect_rank_one(catalog("heis(3)"), diagonal(1, 1, 2)),
+        semidirect_rank_one(LieLaw(3, {}), diagonal(1, 1, Fraction(3, 2))),
     ]
     for g in inputs:
         base = classify_hyperbolic(g)

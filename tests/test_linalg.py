@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,12 +8,16 @@ from lie_sbe.linalg import (
     Subspace,
     block_diag,
     char_poly,
+    combine,
+    coordinates,
     det,
+    diagonal,
     extend_to_basis,
     frac,
     gram_matrix,
     identity,
     inverse,
+    jordan_block,
     jordan_chain_basis,
     mat_mul,
     mat_pow,
@@ -21,6 +26,7 @@ from lie_sbe.linalg import (
     min_poly,
     nullspace,
     rank,
+    restrict,
     rref,
     solve,
     trace,
@@ -54,6 +60,55 @@ def test_rank_and_det_small_literals():
     m2 = matrix([[2, 1], [1, 1]])
     assert det(m2) == 1
     assert inverse(m2) == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def test_det_matches_the_leibniz_formula():
+    # fractional entries exercise the row-denominator scaling, zero leading
+    # entries the row swaps
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            m = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+                 for _ in range(n)]
+            m[0][0] = Fraction(0)
+            ref = Fraction(0)
+            for perm in itertools.permutations(range(n)):
+                inversions = sum(1 for i, j in itertools.combinations(perm, 2) if i > j)
+                term = Fraction(-1 if inversions % 2 else 1)
+                for i, j in enumerate(perm):
+                    term *= m[i][j]
+                ref += term
+            assert det(m) == ref
+    assert det([]) == 1
+
+
+def test_coordinates_agree_with_solve():
+    rng = random.Random(18)
+    for _ in range(6):
+        rows = [_rand_matrix(rng, 5)[0] for _ in range(3)]
+        if rank(rows) < 3:
+            continue
+        inside = [[sum(c * r[k] for c, r in zip(co, rows)) for k in range(5)]
+                  for co in _rand_matrix(rng, 3)]
+        outside = _rand_matrix(rng, 5)[:2]
+        got = coordinates(rows, inside + outside)
+        for v, co in zip(inside + outside, got):
+            assert co == solve(transpose(rows), v)
+            if co is not None:
+                assert combine(co, rows) == v
+    assert coordinates([], [vector([0, 0]), vector([1, 0])]) == [[], None]
+    with pytest.raises(ValueError):
+        coordinates([vector([1, 1]), vector([2, 2])], [vector([1, 1])])
+
+
+def test_restrict_to_invariant_and_other_spans():
+    op = matrix([[1, 2, 0], [0, 3, 0], [0, 0, 5]])
+    rows = [vector([1, 1, 0]), vector([0, 1, 0])]
+    m = restrict(op, rows)
+    # op(e1 + e2) = 3 e1 + 3 e2 and op(e2) = 2 e1 + 3 e2 = 2 (e1 + e2) + e2
+    assert m == matrix([[3, 2], [0, 1]])
+    assert restrict(op, [vector([1, 0, 1])]) is None
+    assert restrict(op, []) == []
 
 
 def test_rref_pivots_are_normalized():
@@ -185,6 +240,9 @@ def test_jordan_chain_basis_puts_nilpotent_in_shift_form():
 def test_block_diag_and_gram():
     b = block_diag([matrix([[1]]), matrix([[2, 0], [0, 3]])])
     assert b == matrix([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert diagonal(1, 2, 3) == b
+    assert jordan_block(Fraction(3, 2), 3) == matrix(
+        [[Fraction(3, 2), 1, 0], [0, Fraction(3, 2), 1], [0, 0, Fraction(3, 2)]])
     g = gram_matrix([vector([1, 0]), vector([1, 1])])
     assert g == matrix([[1, 1], [1, 2]])
     assert transpose(g) == g
