@@ -43,6 +43,10 @@ COMMANDS = {
     "classify_s_prime": ["classify", "catalog:s_prime"],
     "classify_s_second": ["classify", "catalog:s_second"],
     "reduce_s_second": ["reduce", "catalog:s_second", "--cartan", "[[0,0,0,1]]"],
+    "pinch_j3": ["pinch", "--alpha", "[[1,1,0],[0,1,1],[0,0,1]]", "--eps", "0.01",
+                 "--samples", "4000", "--seed", "7"],
+    "pinch_j2_scaled_pansu": ["pinch", "--alpha", "[[2,2,0],[0,2,0],[0,0,2]]", "--eps", "1",
+                              "--samples", "2000", "--seed", "3", "--pansu"],
 }
 
 
