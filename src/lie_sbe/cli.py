@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,11 @@ from .schemas import SCHEMAS, validate
 def _f(x: float) -> float:
     """Round-trip a float through 17 significant digits (value preserving)."""
     return float("%.17g" % x)
+
+
+def _f_or_null(x: float):
+    """_f for a finite float; None otherwise, since JSON has no infinity."""
+    return _f(x) if math.isfinite(x) else None
 
 
 def _ft(x: float) -> str:
@@ -393,7 +399,7 @@ def cmd_pinch(args):
         "seed": rep.seed,
         "sec_min": _f(rep.sec_min),
         "sec_max": _f(rep.sec_max),
-        "ratio": _f(rep.ratio),
+        "ratio": _f_or_null(rep.ratio),
         "bianchi_max": _f(rep.bianchi_max),
     }
     text = [
@@ -403,9 +409,9 @@ def cmd_pinch(args):
     ]
     if pr is not None:
         payload["pansu"] = {
-            "b_est": _f(pr.b_est),
+            "b_est": _f_or_null(pr.b_est),
             "trace": _f(pr.trace),
-            "bound": _f(pr.bound),
+            "bound": _f_or_null(pr.bound),
             "holds": pr.holds,
         }
         text.append(

@@ -297,19 +297,59 @@ class CurvatureReport:
     frame: Frame
 
 
-def _orthonormal_pair(rng, n):
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _draw_planes(rng, samples, n):
+    """samples x 2 x n standard normal draws, row i spanning plane i.
+
+    One draw consumes the stream as samples sequential u-then-v pairs would.
+    A row with |u| or |v - (v.u) u / |u|^2| below 1e-8 spans no plane and is
+    redrawn, so every row returned spans one.
+    """
+    g = rng.standard_normal((samples, 2, n))
+    bad = np.arange(samples)
     while True:
-        u = rng.standard_normal(n)
-        nu = np.linalg.norm(u)
-        if nu < 1e-8:
-            continue
-        u = u / nu
-        v = rng.standard_normal(n)
-        v = v - (v @ u) * u
-        nv = np.linalg.norm(v)
-        if nv < 1e-8:
-            continue
-        return u, v / nv
+        u, v = g[bad, 0], g[bad, 1]
+        nu = np.linalg.norm(u, axis=1)
+        uhat = u / np.maximum(nu, 1e-8)[:, None]
+        vperp = v - _rowdot(v, uhat)[:, None] * uhat
+        bad = bad[(nu < 1e-8) | (np.linalg.norm(vperp, axis=1) < 1e-8)]
+        if not len(bad):
+            return g
+        g[bad] = rng.standard_normal((len(bad), 2, n))
+
+
+def _orthonormal(u, v):
+    """Gram-Schmidt on one drawn pair."""
+    u = u / np.linalg.norm(u)
+    v = v - (v @ u) * u
+    return u, v / np.linalg.norm(v)
+
+
+def _plane_curvatures(frame: Frame, g):
+    """Sectional curvature of span(g[i, 0], g[i, 1]) for every row i.
+
+    <R(u,v)v,u> expanded from curvature_tensor, with un, ut the abelian part
+    and acting coordinate of u:
+      (un.D vn)^2 - (un.D un)(vn.D vn) - vt^2 un.N un - ut^2 vn.N vn
+        + ut vt (un.N vn + vn.N un),
+    divided by the Gram determinant |u|^2 |v|^2 - (u.v)^2.  Another basis
+    of the same plane scales both by the square of its change-of-basis
+    determinant, so the pair need not be orthonormal.
+    """
+    u, v = g[:, 0], g[:, 1]
+    un, ut = u[:, :-1], u[:, -1]
+    vn, vt = v[:, :-1], v[:, -1]
+    d, nmat = frame.d, frame.nmat
+    du, dv = un @ d, vn @ d
+    nu = _rowdot(un @ nmat.T, un)
+    nv = _rowdot(vn @ nmat.T, vn)
+    nuv = _rowdot(un @ (nmat + nmat.T), vn)
+    num = (_rowdot(du, vn) ** 2 - _rowdot(du, un) * _rowdot(dv, vn)
+           - vt * vt * nu - ut * ut * nv + ut * vt * nuv)
+    return num / (_rowdot(u, u) * _rowdot(v, v) - _rowdot(u, v) ** 2)
 
 
 def _golden(f, lo, hi, iters=24):
@@ -368,21 +408,17 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
     frame = frame_matrices(alpha, eps)
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
-    sec_min = math.inf
-    sec_max = -math.inf
-    pair_min = pair_max = None
-    for _ in range(samples):
-        u, v = _orthonormal_pair(rng, n1)
-        s = sectional(frame, u, v)
-        if s < sec_min:
-            sec_min, pair_min = s, (u.copy(), v.copy())
-        if s > sec_max:
-            sec_max, pair_max = s, (u.copy(), v.copy())
-    if refine_sweeps > 0:
-        sec_min, mu, mv = _refine(frame, pair_min[0], pair_min[1], True, refine_sweeps)
-        pair_min = (mu, mv)
-        sec_max, xu, xv = _refine(frame, pair_max[0], pair_max[1], False, refine_sweeps)
-        pair_max = (xu, xv)
+    g = _draw_planes(rng, samples, n1)
+    k = _plane_curvatures(frame, g)
+
+    def extreme(i, minimize):
+        u, v = _orthonormal(g[i, 0], g[i, 1])
+        if refine_sweeps > 0:
+            return _refine(frame, u, v, minimize, refine_sweeps)
+        return sectional(frame, u, v), u, v
+
+    sec_min, min_u, min_v = extreme(int(np.argmin(k)), True)
+    sec_max, max_u, max_v = extreme(int(np.argmax(k)), False)
     bianchi = 0.0
     for _ in range(200):
         x = rng.standard_normal(n1)
@@ -398,8 +434,8 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
         sec_max=sec_max,
         ratio=ratio,
         bianchi_max=bianchi,
-        min_pair=(tuple(map(float, pair_min[0])), tuple(map(float, pair_min[1]))),
-        max_pair=(tuple(map(float, pair_max[0])), tuple(map(float, pair_max[1]))),
+        min_pair=(tuple(map(float, min_u)), tuple(map(float, min_v))),
+        max_pair=(tuple(map(float, max_u)), tuple(map(float, max_v))),
         frame=frame,
     )
 

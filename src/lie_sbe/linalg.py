@@ -72,10 +72,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
     return [x + y for x, y in zip(u, v)]
 
 
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [x - y for x, y in zip(u, v)]
-
-
 def vec_scale(c, v: Vec) -> Vec:
     c = frac(c)
     return [c * x for x in v]

@@ -54,11 +54,6 @@ def mul(p, q) -> list:
     return normalize(out)
 
 
-def scale(c, p) -> list:
-    c = frac(c)
-    return normalize([c * x for x in p])
-
-
 def evaluate(p, x) -> Fraction:
     x = frac(x)
     out = Fraction(0)

@@ -300,15 +300,15 @@ PINCH = {
         "seed": {"type": "integer"},
         "sec_min": {"type": "number"},
         "sec_max": {"type": "number"},
-        "ratio": {"type": "number"},
+        "ratio": {"type": ["number", "null"]},   # null: sec_max >= 0
         "bianchi_max": {"type": "number"},
         "pansu": {
             "type": ["object", "null"],
             "required": ["b_est", "trace", "bound", "holds"],
             "properties": {
-                "b_est": {"type": "number"},
+                "b_est": {"type": ["number", "null"]},
                 "trace": {"type": "number"},
-                "bound": {"type": "number"},
+                "bound": {"type": ["number", "null"]},
                 "holds": {"type": "boolean"},
             },
         },

@@ -218,6 +218,27 @@ def test_pinch(capsys):
     assert payload["pansu"]["holds"] is True
 
 
+def _reject_constant(name):
+    raise ValueError("%s is not JSON" % name)
+
+
+def test_pinch_with_positive_curvature_writes_valid_json(capsys):
+    # J3 at eps 1 has planes of positive curvature, so the ratio is infinite
+    argv = ["pinch", "--alpha", "[[1,1,0],[0,1,1],[0,0,1]]", "--eps", "1",
+            "--samples", "500", "--pansu"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["sec_max"] > 0
+    assert payload["ratio"] is None
+    assert payload["pansu"]["b_est"] is None and payload["pansu"]["bound"] is None
+    assert payload["pansu"]["trace"] == 3.0 and payload["pansu"]["holds"] is True
+
+    code, out, _ = run_cli(capsys, argv + ["--text"])
+    assert code == 0
+    assert "pinching ratio: inf" in out and "bound inf: yes" in out
+
+
 def test_pinch_without_samples_is_exit_3(capsys):
     code, out, err = run_cli(
         capsys, ["pinch", "--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--samples", "0"])
