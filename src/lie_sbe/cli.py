@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -34,19 +33,8 @@ from .deformation import (
 )
 from .errors import DivergentFamily, InputError, LieSbeError
 from .heintze import classify_hyperbolic, table2_report
-from .jsonio import format_scalar, law_to_dict, matrix_from_list
+from .jsonio import matrix_from_list, to_wire
 from .laws import check_jacobi, fingerprint
-from .schemas import SCHEMAS, validate
-
-
-def _f(x: float) -> float:
-    """Round-trip a float through 17 significant digits (value preserving)."""
-    return float("%.17g" % x)
-
-
-def _f_or_null(x: float):
-    """_f for a finite float; None otherwise, since JSON has no infinity."""
-    return _f(x) if math.isfinite(x) else None
 
 
 def _ft(x: float) -> str:
@@ -111,23 +99,15 @@ def _family_arg(text: str, dim: int):
 def cmd_check(args):
     law = load_law(args.law, skip_validate=True)
     rep = check_jacobi(law)
-    payload = {"source": args.law, "jacobi_ok": rep.ok}
+    fp = fingerprint(law) if rep.ok else None
+    payload = {
+        "source": args.law,
+        "jacobi_ok": rep.ok,
+        "failing_triple": to_wire(rep.triple),
+        "residual": to_wire(rep.residual),
+        "fingerprint": to_wire(fp),
+    }
     if rep.ok:
-        fp = fingerprint(law)
-        payload["failing_triple"] = None
-        payload["residual"] = None
-        payload["fingerprint"] = {
-            "dim": fp.dim,
-            "lower_central_dims": list(fp.lower_central_dims),
-            "derived_dims": list(fp.derived_dims),
-            "center_dim": fp.center_dim,
-            "nilpotent": fp.nilpotent,
-            "solvable": fp.solvable,
-            "betti": list(fp.betti),
-            "der_dim": fp.der_dim,
-            "inner_dim": fp.inner_dim,
-            "outer_dim": fp.outer_dim,
-        }
         text = [
             "jacobi: ok",
             "dim: %d" % fp.dim,
@@ -136,12 +116,9 @@ def cmd_check(args):
             "derivations: %d (inner %d, outer %d)"
             % (fp.der_dim, fp.inner_dim, fp.outer_dim),
         ]
-        return 0, payload, text, "check"
-    payload["failing_triple"] = list(rep.triple)
-    payload["residual"] = [format_scalar(x) for x in rep.residual]
-    payload["fingerprint"] = None
+        return 0, payload, text
     text = ["jacobi: FAIL at triple %s" % (tuple(rep.triple),)]
-    return 1, payload, text, "check"
+    return 1, payload, text
 
 
 def cmd_cohomology(args):
@@ -157,9 +134,9 @@ def cmd_cohomology(args):
     text = ["dim H^%d (%s) = %d" % (q, args.module, dim)]
     if args.reps:
         reps = cohomology_basis(law, q, args.module)
-        payload["representatives"] = [jsonio.cochain_to_dict(c) for c in reps]
+        payload["representatives"] = to_wire(reps)
         text.append("representatives: %d" % len(reps))
-    return 0, payload, text, "cohomology"
+    return 0, payload, text
 
 
 def cmd_contract(args):
@@ -167,30 +144,24 @@ def cmd_contract(args):
     fam = _family_arg(args.family, law.dim)
     try:
         limit = contraction_limit(apply_family(law, fam))
+        entries = None
     except DivergentFamily as e:
-        payload = {
-            "source": args.law,
-            "diverges": True,
-            "limit": None,
-            "jacobi_ok": None,
-            "entries": [
-                {"i": i, "j": j, "k": k, "exponent": e_, "c": format_scalar(c)}
-                for (i, j, k, e_, c) in e.entries
-            ],
-        }
-        text = ["diverges: yes"] + [
-            "  [%d,%d]->%d at t^%d" % (i, j, k, e_) for (i, j, k, e_, _c) in e.entries
-        ]
-        return 1, payload, text, "contract"
+        limit = None
+        entries = [dict(zip(("i", "j", "k", "exponent", "c"), to_wire(x))) for x in e.entries]
     payload = {
         "source": args.law,
-        "diverges": False,
-        "limit": law_to_dict(limit),
-        "jacobi_ok": True,
-        "entries": None,
+        "diverges": limit is None,
+        "limit": to_wire(limit),
+        "jacobi_ok": None if limit is None else True,
+        "entries": entries,
     }
+    if limit is None:
+        text = ["diverges: yes"] + [
+            "  [%(i)d,%(j)d]->%(k)d at t^%(exponent)d" % x for x in entries
+        ]
+        return 1, payload, text
     text = ["diverges: no", "limit has %d bracket entries" % len(limit.table)]
-    return 0, payload, text, "contract"
+    return 0, payload, text
 
 
 def cmd_obstruct(args):
@@ -200,14 +171,7 @@ def cmd_obstruct(args):
     payload = {
         "source": args.source,
         "target": args.target,
-        "semicontinuity": {
-            "obstructed": semi.obstructed,
-            "rows": [
-                {"name": r.name, "source": r.source, "target": r.target,
-                 "violated": r.violated}
-                for r in semi.rows
-            ],
-        },
+        "semicontinuity": to_wire(semi),
         "spectral": None,
     }
     obstructed = semi.obstructed
@@ -219,14 +183,7 @@ def cmd_obstruct(args):
             )
     if args.spectral:
         sp = spectral_obstruction(source, target)
-        payload["spectral"] = {
-            "status": sp.status,
-            "reason": sp.reason,
-            "char_source": [format_scalar(x) for x in sp.char_source]
-            if sp.char_source is not None else None,
-            "char_target": [format_scalar(x) for x in sp.char_target]
-            if sp.char_target is not None else None,
-        }
+        payload["spectral"] = to_wire(sp)
         if sp.status == "obstructed":
             obstructed = True
             text.append("spectral: obstructed (%s)" % sp.reason)
@@ -234,7 +191,7 @@ def cmd_obstruct(args):
             text.append("spectral: %s" % sp.status)
     payload["obstructed"] = obstructed
     text.insert(0, "obstructed: %s" % ("yes" if obstructed else "no"))
-    return (0 if obstructed else 1), payload, text, "obstruct"
+    return (0 if obstructed else 1), payload, text
 
 
 def cmd_certify(args):
@@ -244,16 +201,13 @@ def cmd_certify(args):
     payload = {
         "source": args.law,
         "method": method,
-        "applies": cert.applies,
-        "reason": cert.reason,
-        "family": jsonio.family_to_dict(cert.family) if cert.family else None,
-        "limit": law_to_dict(cert.limit) if cert.limit else None,
+        **to_wire(cert, "applies", "reason", "family", "limit"),
         "target": cert.target_name,
     }
     text = ["applies: %s" % ("yes" if cert.applies else "no"), "reason: %s" % cert.reason]
     if cert.applies:
         text.append("target: %s" % cert.target_name)
-    return (0 if cert.applies else 1), payload, text, "certify"
+    return (0 if cert.applies else 1), payload, text
 
 
 def cmd_reduce(args):
@@ -267,23 +221,13 @@ def cmd_reduce(args):
             raise InputError("cartan vector %d must have %d entries" % (pos, law.dim))
         vectors.append([jsonio.parse_scalar(x) for x in row])
     res = cornulier_reduction(law, vectors)
-    payload = {
-        "source": args.law,
-        "g1": law_to_dict(res.g1),
-        "g_inf": law_to_dict(res.g_inf),
-        "r_dim": res.r_dim,
-        "w_dim": res.w_dim,
-        "weights": [[format_scalar(x) for x in wt] for wt in res.weights],
-        "depths": list(res.depths),
-        "family": jsonio.family_to_dict(res.family) if res.family else None,
-        "h_quotient": law_to_dict(res.h_quotient) if res.h_quotient else None,
-    }
+    payload = {"source": args.law, **to_wire(res)}
     text = [
         "exponential radical dim: %d" % res.r_dim,
         "w = h intersect r dim: %d" % res.w_dim,
         "g1 entries: %d; g_inf entries: %d" % (len(res.g1.table), len(res.g_inf.table)),
     ]
-    return 0, payload, text, "reduce"
+    return 0, payload, text
 
 
 def cmd_modify(args):
@@ -294,32 +238,19 @@ def cmd_modify(args):
     mats = [matrix_from_list(m, square_of=law.dim) for m in torus_data]
     tau_rows = matrix_from_list(_json_arg(args.tau))
     res = modification(law, mats, tau_rows)
-    payload = {
-        "source": args.law,
-        "closure": res.closure,
-        "twisting": res.twisting,
-        "jacobi_ok": res.jacobi_ok,
-        "law": law_to_dict(res.law),
-        "delta": law_to_dict(res.delta),
-    }
+    payload = {"source": args.law, **to_wire(res)}
     text = [
         "closure: %s" % ("yes" if res.closure else "no"),
         "twisting: %s" % ("yes" if res.twisting else "no"),
         "jacobi on the modified law: %s" % ("ok" if res.jacobi_ok else "FAIL"),
     ]
-    return (0 if res.closure else 1), payload, text, "modify"
+    return (0 if res.closure else 1), payload, text
 
 
 def cmd_classify(args):
     law = load_law(args.law, args.skip_validate)
     v = classify_hyperbolic(law)
-    payload = {
-        "source": args.law,
-        "target": v.target,
-        "n": v.n,
-        "commable_to": v.commable_to,
-        "evidence": list(v.evidence),
-    }
+    payload = {"source": args.law, **to_wire(v)}
     text = ["target: %s" % v.target]
     if v.n is not None:
         text[0] += " (n=%d)" % v.n
@@ -327,33 +258,24 @@ def cmd_classify(args):
         text.append("commable to: %s" % v.commable_to)
     for e in v.evidence:
         text.append("  - %s" % e)
-    return (0 if v.target != "none" else 1), payload, text, "classify"
+    return (0 if v.target != "none" else 1), payload, text
 
 
 def cmd_table2(args):
     rep = table2_report()
-    blocks = []
-    for block in rep.blocks:
-        rows = []
-        for row in block:
-            inv = row.invariants
-            rows.append({
+    blocks = [
+        [
+            {
                 "label": row.label,
-                "target": row.verdict.target,
-                "n": row.verdict.n,
-                "commable_to": row.verdict.commable_to,
-                "cdim": format_scalar(inv.cdim),
-                "topdim": inv.topdim,
-                "purely_real": row.traits.purely_real,
-                "carnot_type": row.traits.carnot_type,
-            })
-        blocks.append(rows)
-    payload = {
-        "blocks": blocks,
-        "consistent": list(rep.consistent),
-        "dashed": list(rep.dashed),
-        "dashed_note": rep.dashed_note,
-    }
+                **to_wire(row.verdict, "target", "n", "commable_to"),
+                **to_wire(row.invariants, "cdim", "topdim"),
+                **to_wire(row.traits),
+            }
+            for row in block
+        ]
+        for block in rep.blocks
+    ]
+    payload = {"blocks": blocks, **to_wire(rep, "consistent", "dashed", "dashed_note")}
     text = []
     for bi, rows in enumerate(blocks):
         if bi:
@@ -366,7 +288,7 @@ def cmd_table2(args):
             if r["commable_to"]:
                 verdict += " ~ " + r["commable_to"]
             text.append("%-28s cdim=%-5s %s" % (r["label"], r["cdim"], verdict))
-    return 0, payload, text, "table2"
+    return 0, payload, text
 
 
 def _alpha_arg(spec: str):
@@ -386,41 +308,26 @@ def _alpha_arg(spec: str):
 
 def cmd_pinch(args):
     alpha = _alpha_arg(args.alpha)
-    code = 0
     if args.pansu:
         pr = pansu_consistency(alpha, args.eps, samples=args.samples, seed=args.seed)
         rep = pr.curvature
     else:
         pr = None
         rep = pinching_estimate(alpha, args.eps, samples=args.samples, seed=args.seed)
-    payload = {
-        "eps": _f(rep.eps),
-        "samples": rep.samples,
-        "seed": rep.seed,
-        "sec_min": _f(rep.sec_min),
-        "sec_max": _f(rep.sec_max),
-        "ratio": _f_or_null(rep.ratio),
-        "bianchi_max": _f(rep.bianchi_max),
-    }
+    payload = to_wire(rep, "eps", "samples", "seed", "sec_min", "sec_max", "ratio",
+                      "bianchi_max")
     text = [
         "sectional range: [%s, %s]" % (_ft(rep.sec_min), _ft(rep.sec_max)),
         "pinching ratio: %s" % _ft(rep.ratio),
         "bianchi residual: %s" % _ft(rep.bianchi_max),
     ]
     if pr is not None:
-        payload["pansu"] = {
-            "b_est": _f_or_null(pr.b_est),
-            "trace": _f(pr.trace),
-            "bound": _f_or_null(pr.bound),
-            "holds": pr.holds,
-        }
+        payload["pansu"] = to_wire(pr, "b_est", "trace", "bound", "holds")
         text.append(
             "trace %s <= bound %s: %s"
             % (_ft(pr.trace), _ft(pr.bound), "yes" if pr.holds else "NO")
         )
-        if not pr.holds:
-            code = 1
-    return code, payload, text, "pinch"
+    return (1 if pr is not None and not pr.holds else 0), payload, text
 
 
 def cmd_buildings(args):
@@ -434,21 +341,14 @@ def cmd_buildings(args):
             "p_max": p_max,
             "q_max": q_max,
             "bound": bound,
-            "hits": [
-                {
-                    "p": h.p, "q": h.q, "p2": h.p2, "q2": h.q2,
-                    "witnesses": [list(w) for w in h.witnesses],
-                    "cdim": _f(h.cdim), "cdim2": _f(h.cdim2),
-                }
-                for h in hits
-            ],
+            "hits": to_wire(hits),
         }
         text = ["hits: %d" % len(hits)] + [
             "(%d,%d) ~ (%d,%d) cdim %s witnesses %s"
             % (h.p, h.q, h.p2, h.q2, _ft(h.cdim), [tuple(w) for w in h.witnesses])
             for h in hits
         ]
-        return 0, payload, text, "buildings_search"
+        return 0, payload, text
     if args.p is None or args.q is None:
         args._parser.error("need --p and --q (or --search)")
     if (args.p2 is None) != (args.q2 is None):
@@ -460,24 +360,19 @@ def cmd_buildings(args):
         payload = {
             "p": args.p, "q": args.q, "p2": args.p2, "q2": args.q2,
             "bound": args.bound,
-            "witnesses": [list(w) for w in wits],
+            "witnesses": to_wire(wits),
         }
         text = ["witnesses: %s" % ([tuple(w) for w in wits],)]
-        return 0, payload, text, "buildings_tyson"
+        return 0, payload, text
     if args.bound is not None:
         args._parser.error("--bound needs --p2/--q2")
     cv = building_cdim(args.p, args.q)
-    payload = {
-        "p": cv.p, "q": cv.q,
-        "value": _f(cv.value),
-        "exact_one": cv.exact_one,
-        "tau": [format_scalar(cv.tau[0]), format_scalar(cv.tau[1])],
-    }
+    payload = to_wire(cv)
     text = [
         "conformal dimension: %s%s" % (_ft(cv.value), " (exactly 1)" if cv.exact_one else ""),
-        "translation length: %s + sqrt(%s)" % (format_scalar(cv.tau[0]), format_scalar(cv.tau[1])),
+        "translation length: %s + sqrt(%s)" % tuple(payload["tau"]),
     ]
-    return 0, payload, text, "buildings_cdim"
+    return 0, payload, text
 
 
 def cmd_catalog(args):
@@ -490,13 +385,12 @@ def cmd_catalog(args):
                 if fn.endswith(".json") and name not in names:
                     names.append(name)
         payload = {"names": names}
-        return 0, payload, list(names), "catalog_list"
+        return 0, payload, list(names)
     if not args.name:
         args._parser.error("catalog dump needs a name")
     law = _catalog_lookup(args.name)
-    payload = law_to_dict(law)
     text = ["%s: dim %d, %d bracket entries" % (args.name, law.dim, len(law.table))]
-    return 0, payload, text, "law"
+    return 0, to_wire(law), text
 
 
 # ------------------------------------------------------------------ parser --
@@ -617,8 +511,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload, text, schema_key = args.func(args)
-        validate(payload, SCHEMAS[schema_key])
+        code, payload, text = args.func(args)
     except LieSbeError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3

@@ -187,8 +187,8 @@ def alpha_from_law(law: LieLaw):
 
 
 def frame_matrices(alpha, eps: float) -> Frame:
-    if not eps > 0:
-        raise PreconditionError("eps must be positive, got %r" % (eps,))
+    if not (eps > 0 and math.isfinite(eps)):
+        raise PreconditionError("eps must be positive and finite, got %r" % (eps,))
     try:
         an_exact = matrix(alpha)
         nd = normalize_derivation(an_exact)

@@ -37,6 +37,7 @@ from .linalg import (
     char_poly,
     combine,
     coordinates,
+    det,
     extend_to_basis,
     frac,
     identity,
@@ -101,6 +102,8 @@ def apply_family(law: LieLaw, family: ScalingFamily) -> LaurentLaw:
         raise InputError("family has %d exponents for dimension %d" % (len(family.w), law.dim))
     base = law
     if family.p is not None:
+        if det(family.p) == 0:
+            raise InputError("the family's base change P is singular")
         base = basis_change(law, [list(r) for r in family.p], basis=law.basis)
     table = {}
     for (i, j), row in base.table.items():

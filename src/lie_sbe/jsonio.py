@@ -1,4 +1,5 @@
-"""JSON interchange for laws, matrices, scaling families and cochains.
+"""JSON interchange for laws, matrices, scaling families, cochains and the
+result dataclasses the command line prints.
 
 Scalars are exact rationals rendered as "p" or "p/q" strings.  Bracket and
 cochain indices are 1-based on the wire; the in-memory objects are 0-based.
@@ -8,10 +9,14 @@ bit-exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
+from .cohomology import Cochain
+from .deformation import ScalingFamily
 from .errors import InputError
 from .laws import LieLaw
 
@@ -40,7 +45,39 @@ def format_scalar(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def _loads(text: str):
+def to_wire(value, *fields):
+    """The JSON form of a result.
+
+    A dataclass becomes an object over the named fields, or over all its
+    fields in declared order when none are named.  A Fraction becomes its
+    format_scalar string, a finite float stays a float and a non-finite one
+    becomes None (JSON has no infinity).  Laws, scaling families and
+    cochains take their wire objects; tuples and lists become lists.
+    """
+    if fields:
+        return {name: _wire(getattr(value, name)) for name in fields}
+    return _wire(value)
+
+
+def _wire(value):
+    if isinstance(value, LieLaw):
+        return law_to_dict(value)
+    if isinstance(value, ScalingFamily):
+        return family_to_dict(value)
+    if isinstance(value, Cochain):
+        return cochain_to_dict(value)
+    if isinstance(value, Fraction):
+        return format_scalar(value)
+    if isinstance(value, float):
+        return float(value) if math.isfinite(value) else None
+    if isinstance(value, (tuple, list)):
+        return [_wire(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {f.name: _wire(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    return value
+
+
+def loads(text: str):
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
@@ -102,7 +139,7 @@ def law_dumps(law: LieLaw) -> str:
 
 
 def law_loads(text: str) -> LieLaw:
-    return law_from_dict(_loads(text))
+    return law_from_dict(loads(text))
 
 
 # ------------------------------------------------------------- matrices ----
@@ -135,8 +172,6 @@ def family_to_dict(family) -> dict:
 
 
 def family_from_dict(data, dim=None):
-    from .deformation import ScalingFamily
-
     w_raw = _require(data, "w", "scaling family")
     if not isinstance(w_raw, list) or not w_raw:
         raise InputError("scaling family w must be a non-empty list")
@@ -169,8 +204,6 @@ def cochain_to_dict(c) -> dict:
 
 
 def cochain_from_dict(data):
-    from .cohomology import Cochain
-
     module = _require(data, "module", "cochain")
     if module not in ("trivial", "adjoint"):
         raise InputError("cochain module must be 'trivial' or 'adjoint', got %r" % (module,))
@@ -202,11 +235,3 @@ def cochain_from_dict(data):
         terms[key] = terms.get(key, Fraction(0)) + c
     terms = {key: v for key, v in terms.items() if v != 0}
     return Cochain(dim=dim, degree=degree, module=module, terms=terms)
-
-
-def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=False) + "\n"
-
-
-def loads(text: str):
-    return _loads(text)

@@ -248,6 +248,24 @@ def test_pinch_without_samples_is_exit_3(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_pinch_with_infinite_eps_is_exit_3(capsys):
+    code, out, err = run_cli(
+        capsys, ["pinch", "--alpha", "[[1,1],[0,1]]", "--eps", "inf", "--pansu"])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "eps" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_contract_with_singular_base_change_is_exit_3(capsys):
+    family = json.dumps({"w": [0, -1, -1, 0], "P": [[0] * 4 for _ in range(4)]})
+    code, out, err = run_cli(capsys, ["contract", "catalog:s_prime", "--family", family])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "singular" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_buildings_single(capsys):
     code, payload, _ = run_json(capsys, ["buildings", "--p", "5", "--q", "2"])
     assert code == 0

@@ -1,3 +1,5 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from lie_sbe.jsonio import (
     matrix_from_list,
     matrix_to_list,
     parse_scalar,
+    to_wire,
 )
 
 
@@ -114,3 +117,28 @@ def test_cochain_round_trip():
     assert (back.dim, back.degree, back.module) == (4, 2, "adjoint")
     t = Cochain(3, 1, "trivial", {((2,), None): Fraction(1)})
     assert cochain_from_dict(cochain_to_dict(t)).terms == t.terms
+
+
+@dataclass(frozen=True)
+class _Result:
+    ratio: float
+    scalars: tuple
+    law: object
+    family: object
+    nested: object = None
+
+
+def test_to_wire_follows_the_dataclass():
+    law = catalog("heis(3)")
+    fam = ScalingFamily(w=(0, -1, -1), p=None)
+    r = _Result(-1.5, (Fraction(3, 2), (1, 2)), law, fam, _Result(math.inf, (), None, None))
+    wire = to_wire(r)
+    assert list(wire) == ["ratio", "scalars", "law", "family", "nested"]
+    assert wire["ratio"] == -1.5 and wire["scalars"] == ["3/2", [1, 2]]
+    assert wire["law"] == law_to_dict(law) and wire["family"] == family_to_dict(fam)
+    assert wire["nested"] == {"ratio": None, "scalars": [], "law": None, "family": None,
+                              "nested": None}
+    assert to_wire(r, "family", "ratio") == {"family": {"w": ["0", "-1", "-1"]}, "ratio": -1.5}
+    assert to_wire(float("nan")) is None and to_wire(-math.inf) is None
+    c = Cochain(3, 1, "trivial", {((2,), None): Fraction(1)})
+    assert to_wire([c]) == [cochain_to_dict(c)]
