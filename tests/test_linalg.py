@@ -1,9 +1,20 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from lie_sbe import catalog
+from lie_sbe.catalog import catalog_names
+from lie_sbe.cohomology import (
+    adjoint_h_dim,
+    betti_numbers,
+    coboundary_space,
+    cocycle_space,
+    differential,
+)
+from lie_sbe.laws import law_in_basis
 from lie_sbe.linalg import (
     Subspace,
     block_diag,
@@ -44,6 +55,195 @@ def _rand_invertible(rng, n):
         m = _rand_matrix(rng, n)
         if det(m) != 0:
             return m
+
+
+# Reference kernels: the integer Bareiss elimination behind rank and det, and
+# the dense Fraction Gauss-Jordan RREF, as linalg had them before its sparse
+# echelon; nullspace, solve and extend_to_basis are rebuilt on that RREF.
+
+
+def _ref_integer_rows(m):
+    dens = [math.lcm(*(frac(x).denominator for x in row)) for row in m]
+    return [[int(frac(x) * d) for x in row] for row, d in zip(m, dens)], dens
+
+
+def _ref_bareiss(a):
+    rows, cols = len(a), len(a[0])
+    r = 0
+    prev = 1
+    sign = 1
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r, sign * prev
+
+
+def _ref_rank(m):
+    if not m or not m[0]:
+        return 0
+    return _ref_bareiss(_ref_integer_rows(m)[0])[0]
+
+
+def _ref_det(m):
+    if not m:
+        return Fraction(1)
+    a, dens = _ref_integer_rows(m)
+    r, d = _ref_bareiss(a)
+    return Fraction(d, math.prod(dens)) if r == len(m) else Fraction(0)
+
+
+def _ref_rref(m):
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = Fraction(1) / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a[:r], pivots
+
+
+def _ref_nullspace(m):
+    n = len(m[0])
+    r, pivots = _ref_rref(m)
+    basis = []
+    for free in range(n):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for row_i, pc in enumerate(pivots):
+            v[pc] = -r[row_i][free]
+        basis.append(v)
+    return basis
+
+
+def _ref_solve(a, b):
+    n = len(a[0])
+    r, pivots = _ref_rref([list(row) + [bb] for row, bb in zip(a, b)])
+    if n in pivots:
+        return None
+    x = [Fraction(0)] * n
+    for row_i, pc in enumerate(pivots):
+        x[pc] = r[row_i][-1]
+    return x
+
+
+def _ref_extend_to_basis(vectors, ambient):
+    rows = [list(v) for v in vectors]
+    extra = []
+    for e in identity(ambient):
+        if _ref_rank(rows + [e]) > _ref_rank(rows):
+            extra.append(e)
+            rows.append(e)
+    return extra
+
+
+def _sweep_matrices(count=300, seed=20):
+    """Small Fraction matrices, 1-7 x 1-7, at densities 0.2, 0.5 and 0.9;
+    every third one gets a row that is a combination of two others."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        density = (0.2, 0.5, 0.9)[k % 3]
+        r, c = rng.randint(1, 7), rng.randint(1, 7)
+        m = [[Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
+              if rng.random() < density else Fraction(0) for _ in range(c)] for _ in range(r)]
+        if r >= 3 and k % 9 < 3:
+            i, j = rng.sample(range(r - 1), 2)
+            f, g = Fraction(rng.randint(-3, 3), rng.choice((1, 2))), Fraction(rng.randint(-3, 3))
+            m[-1] = [f * x + g * y for x, y in zip(m[i], m[j])]
+        out.append(m)
+    return out
+
+
+def test_elimination_matches_the_dense_references():
+    rng = random.Random(21)
+    for m in _sweep_matrices():
+        c = len(m[0])
+        assert rank(m) == _ref_rank(m)
+        assert rref(m) == _ref_rref(m)
+        assert nullspace(m) == _ref_nullspace(m)
+        inside = mat_vec(m, [Fraction(rng.randint(-3, 3)) for _ in range(c)])
+        outside = [Fraction(rng.randint(-3, 3)) for _ in m]
+        for b in (inside, outside):
+            assert solve(m, b) == _ref_solve(m, b)
+        assert extend_to_basis(m, c) == _ref_extend_to_basis(m, c)
+        if len(m) == c:
+            assert det(m) == _ref_det(m)
+
+
+def _signed_permutation_copy(law, seed):
+    rng = random.Random(seed)
+    n = law.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cols = [[Fraction(0)] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        cols[i][j] = Fraction(rng.choice((-1, 1)))
+    return law_in_basis(law, cols)
+
+
+def _dense_rank_of_differential(law, q, module):
+    d = differential(law, q, module)
+    if not d.rows or not d.cols:
+        return 0
+    mat = [[Fraction(0)] * len(d.cols) for _ in d.rows]
+    for r, c, v in d.entries:
+        mat[r][c] = v
+    return _ref_rank(mat)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog(n).dim <= 6])
+def test_complex_ranks_match_dense_bareiss(name):
+    base = catalog(name)
+    n = base.dim
+    for law in (base, _signed_permutation_copy(base, seed=n)):
+        for module in ("trivial", "adjoint"):
+            width = n if module == "adjoint" else 1
+            ranks = [_dense_rank_of_differential(law, q, module) for q in range(n + 1)]
+            h = [math.comb(n, q) * width - ranks[q] - (ranks[q - 1] if q else 0)
+                 for q in range(n + 1)]
+            if module == "trivial":
+                assert betti_numbers(law) == h
+            else:
+                assert [adjoint_h_dim(law, q) for q in range(n + 1)] == h
+            for q in range(n + 1):
+                assert cocycle_space(law, q, module).dim == math.comb(n, q) * width - ranks[q]
+                assert coboundary_space(law, q, module).dim == (ranks[q - 1] if q else 0)
 
 
 def test_frac_rejects_floats():
