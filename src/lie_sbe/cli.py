@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 from . import jsonio
@@ -523,6 +524,10 @@ def run(argv=None) -> int:
 
 
 def main():
+    # a reader that closes stdout early ends the process quietly, as it
+    # would any filter, instead of a BrokenPipeError traceback and exit 1
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .errors import InputError, PreconditionError
 from .laws import LieLaw
-from .linalg import Subspace, rank, solve, transpose, zero_vec
+from .linalg import Subspace, independent, rank, solve, transpose, zero_vec
 from . import linalg
 
 
@@ -91,17 +91,19 @@ class Differential:
     cols: tuple          # basis keys of C^q
     entries: tuple       # sparse ((row, col, value), ...)
 
-    def dense(self):
-        mat = [[Fraction(0)] * len(self.cols) for _ in self.rows]
+    def sparse_rows(self):
+        """Row i as {column: value}, one dict per row of the matrix."""
+        out = [{} for _ in self.rows]
         for r, c, v in self.entries:
-            mat[r][c] = v
-        return mat
+            out[r][c] = v
+        return out
 
-    def by_column(self):
-        cols = {}
+    def sparse_cols(self):
+        """Column j as {row: value}, one dict per column of the matrix."""
+        out = [{} for _ in self.cols]
         for r, c, v in self.entries:
-            cols.setdefault(c, []).append((r, v))
-        return cols
+            out[c][r] = v
+        return out
 
     def apply(self, vec):
         out = zero_vec(len(self.rows))
@@ -161,12 +163,11 @@ def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:
     """Check d_{q+1} after d_q vanishes, column by column on the sparse data."""
     d1 = differential(law, q, module)
     d2 = differential(law, q + 1, module)
-    d2_cols = d2.by_column()
-    by_col = d1.by_column()
-    for c, items in by_col.items():
+    d2_cols = d2.sparse_cols()
+    for col in d1.sparse_cols():
         acc = {}
-        for r1, v1 in items:
-            for r2, v2 in d2_cols.get(r1, ()):
+        for r1, v1 in col.items():
+            for r2, v2 in d2_cols[r1].items():
                 acc[r2] = acc.get(r2, Fraction(0)) + v2 * v1
         if any(v != 0 for v in acc.values()):
             return False
@@ -202,7 +203,7 @@ def _cochain_dim(n: int, q: int, module: str) -> int:
 def betti_numbers(law: LieLaw) -> list:
     """b_0..b_n for trivial coefficients."""
     n = law.dim
-    ranks = [rank(differential(law, q, "trivial").dense()) for q in range(n + 1)]
+    ranks = [rank(differential(law, q, "trivial").sparse_rows()) for q in range(n + 1)]
     out = []
     for q in range(n + 1):
         dim_cq = math.comb(n, q)
@@ -213,8 +214,8 @@ def betti_numbers(law: LieLaw) -> list:
 
 def adjoint_h_dim(law: LieLaw, q: int) -> int:
     dim_cq = _cochain_dim(law.dim, q, "adjoint")
-    r_q = rank(differential(law, q, "adjoint").dense())
-    r_prev = rank(differential(law, q - 1, "adjoint").dense()) if q > 0 else 0
+    r_q = rank(differential(law, q, "adjoint").sparse_rows())
+    r_prev = rank(differential(law, q - 1, "adjoint").sparse_rows()) if q > 0 else 0
     return dim_cq - r_q - r_prev
 
 
@@ -234,7 +235,7 @@ def classify_cochain(law: LieLaw, c: Cochain) -> CocycleVerdict:
                               None, None)
     d_prev = differential(law, c.degree - 1, c.module)
     target = cochain_to_vector(c, list(d_prev.rows))
-    sol = solve(d_prev.dense(), target)
+    sol = solve(d_prev.sparse_rows(), target, cols=len(d_prev.cols))
     if sol is None:
         return CocycleVerdict("nontrivial_class", None, None)
     pre = vector_to_cochain(sol, c.dim, c.degree - 1, c.module)
@@ -246,29 +247,21 @@ def coboundary_space(law: LieLaw, q: int, module: str) -> Subspace:
     nq = _cochain_dim(law.dim, q, module)
     if q == 0:
         return Subspace.zero(nq)
-    d_prev = differential(law, q - 1, module)
-    return Subspace.span(nq, transpose(d_prev.dense()) if d_prev.cols else [])
+    return Subspace.span(nq, differential(law, q - 1, module).sparse_cols())
 
 
 def cocycle_space(law: LieLaw, q: int, module: str) -> Subspace:
     nq = _cochain_dim(law.dim, q, module)
-    d = differential(law, q, module)
-    if not d.rows:
-        return Subspace.full(nq)
-    return Subspace.span(nq, linalg.nullspace(d.dense(), cols=nq))
+    rows = differential(law, q, module).sparse_rows()
+    return Subspace.span(nq, linalg.nullspace(rows, cols=nq))
 
 
 def cohomology_basis(law: LieLaw, q: int, module: str = "trivial") -> list:
     """Cocycle representatives of a basis of H^q."""
     z = cocycle_space(law, q, module)
     b = coboundary_space(law, q, module)
-    reps = []
-    acc = b
-    for v in z.basis():
-        if not acc.contains(v):
-            reps.append(vector_to_cochain(v, law.dim, q, module))
-            acc = Subspace.span(acc.ambient, acc.basis() + [v])
-    return reps
+    return [vector_to_cochain(v, law.dim, q, module)
+            for v in independent(b.basis(), z.basis())]
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
@@ -302,18 +295,10 @@ def cup_product(law: LieLaw, a: Cochain, b: Cochain) -> Cochain:
 def cup_square_rank(law: LieLaw) -> int:
     """Rank of the image of the squaring map H^2 x H^2 -> H^4."""
     reps = cohomology_basis(law, 2, "trivial")
-    b4 = coboundary_space(law, 4, "trivial")
-    base = b4.basis()
-    base_rank = rank(base) if base else 0
-    vecs = list(base)
     basis4 = cochain_basis(law.dim, 4, "trivial")
-    for i, r1 in enumerate(reps):
-        for r2 in reps[i:]:
-            prod = cup_product(law, r1, r2)
-            vecs.append(cochain_to_vector(prod, basis4))
-    if not vecs:
-        return 0
-    return rank(vecs) - base_rank
+    squares = [cochain_to_vector(cup_product(law, r1, r2), basis4)
+               for i, r1 in enumerate(reps) for r2 in reps[i:]]
+    return len(independent(coboundary_space(law, 4, "trivial").basis(), squares))
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .linalg import (
     extend_to_basis,
     frac,
     identity,
+    independent,
     inverse,
     is_zero_vec,
     jordan_chain_basis,
@@ -697,12 +698,7 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
     r_rows = r.basis()
     rd = r.dim
     # complement of w inside h
-    hbar = []
-    acc = w
-    for v in h_vecs + h_span.basis():
-        if not acc.contains(v):
-            hbar.append(v)
-            acc = Subspace.span(n, acc.basis() + [v])
+    hbar = independent(w.basis(), h_vecs + h_span.basis())
     m = len(hbar)
 
     # each ad(hbar_j) on r; r is a stable term of the lower central series,

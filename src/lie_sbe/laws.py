@@ -250,8 +250,6 @@ def center(law: LieLaw) -> Subspace:
     stacked = []
     for i in range(law.dim):
         stacked.extend(law.ad_basis(i))
-    if not stacked:
-        return Subspace.full(law.dim)
     return Subspace.span(law.dim, nullspace(stacked, cols=law.dim))
 
 
@@ -306,7 +304,7 @@ def derivations(law: LieLaw) -> DerivationData:
     )
     inner = [law.ad_basis(i) for i in range(n)]
     inner_flat = [[x for row in m for x in row] for m in inner]
-    inner_dim = rank(inner_flat) if inner_flat else 0
+    inner_dim = rank(inner_flat)
     der_dim = len(ders)
     return DerivationData(
         der_basis=ders,

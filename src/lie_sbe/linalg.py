@@ -1,12 +1,14 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows, vectors are flat lists; entries are Fraction.
-Everything here is exact; no floating point.
+Everything here is exact; no floating point.  All elimination (rank, rref,
+det, independent) runs through one sparse incremental echelon, so the row
+arguments of those functions may also be {column: value} dicts.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,93 +98,94 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def _integer_rows(m: Mat):
-    """Each row times the lcm of its denominators, and those multipliers.
+def _sparse(row) -> dict:
+    """A dense row or a {column: value} dict, as a new dict of its nonzeros."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {j: frac(x) for j, x in items if x != 0}
 
-    Row scaling leaves the rank alone and scales the determinant by the
-    product of the multipliers.
+
+def _subtract(row: dict, f, other: dict) -> None:
+    """row -= f * other, in place, dropping the entries that cancel."""
+    for j, x in other.items():
+        y = row.get(j, 0) - f * x
+        if y:
+            row[j] = y
+        else:
+            row.pop(j, None)
+
+
+def _insert(basis: dict, row: dict):
+    """Reduce row (consumed) by basis = {pivot column: row scaled to 1 there}.
+
+    A nonzero remainder joins basis at its first column; the return value is
+    that column and the remainder's value there, or None when row lies in the
+    span.  A basis row is zero left of its pivot and at every pivot older
+    than it, so eliminating in increasing column order only fills in columns
+    to the right of the one just cleared.
     """
-    dens = [math.lcm(*(frac(x).denominator for x in row)) for row in m]
-    return [[int(frac(x) * d) for x in row] for row, d in zip(m, dens)], dens
+    hits = [c for c in row if c in basis]
+    heapq.heapify(hits)
+    while hits:
+        c = heapq.heappop(hits)
+        if c in row:
+            other = basis[c]
+            _subtract(row, row[c], other)
+            for j in other:
+                if j in row and j in basis:
+                    heapq.heappush(hits, j)
+    if not row:
+        return None
+    p = min(row)
+    v = row[p]
+    basis[p] = {j: x / v for j, x in row.items()}
+    return p, v
 
 
-def _bareiss(a):
-    """Fraction-free (Bareiss) elimination of an integer matrix, in place.
-
-    Returns (rank, last pivot times the sign of the row swaps); for a square
-    matrix of full rank the second value is its determinant.
-    """
-    rows, cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    sign = 1
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            sign = -sign
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r, sign * prev
+def _echelon(rows) -> dict:
+    basis = {}
+    for row in rows:
+        _insert(basis, _sparse(row))
+    return basis
 
 
-def rank(m: Mat) -> int:
-    """Rank by Bareiss elimination on an integer copy."""
-    if not m or not m[0]:
-        return 0
-    return _bareiss(_integer_rows(m)[0])[0]
+def _width(m, cols) -> int:
+    return cols if cols is not None else (len(m[0]) if m else 0)
 
 
-def rref(m: Mat):
+def rank(m) -> int:
+    """Rank of a list of rows, dense or {column: value} dicts."""
+    return len(_echelon(m))
+
+
+def independent(base, candidates) -> list:
+    """The candidates outside the span of base and of the candidates kept
+    before them, in order."""
+    basis = _echelon(base)
+    return [v for v in candidates if _insert(basis, _sparse(v)) is not None]
+
+
+def rref(m, cols: int | None = None):
     """Reduced row echelon form. Returns (rows, pivot_columns).
 
-    Zero rows are dropped; pivot entries are 1.
+    Zero rows are dropped; pivot entries are 1.  Rows are dense lists or
+    {column: value} dicts, which need the width `cols`; the result is dense.
     """
-    a = [list(row) for row in m]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return a[:r], pivots
+    n = _width(m, cols)
+    basis = _echelon(m)
+    pivots = sorted(basis)
+    # back-substitute from the last pivot: the rows of later pivots are
+    # already reduced, so each one clears its pivot without filling in another
+    for p in reversed(pivots):
+        row = basis[p]
+        for q in [c for c in row if c != p and c in basis]:
+            _subtract(row, row[q], basis[q])
+    return [[basis[p].get(j, Fraction(0)) for j in range(n)] for p in pivots], pivots
 
 
-def nullspace(m: Mat, cols: int | None = None) -> list:
+def nullspace(m, cols: int | None = None) -> list:
     """Basis of the right kernel, one vector per free column of the RREF."""
-    if not m:
-        return [ [Fraction(1 if i == j else 0) for i in range(cols)] for j in range(cols) ] if cols else []
-    n = len(m[0])
-    r, pivots = rref(m)
+    n = _width(m, cols)
+    r, pivots = rref(m, cols=n)
     pivset = set(pivots)
     basis = []
     for free in range(n):
@@ -196,20 +199,20 @@ def nullspace(m: Mat, cols: int | None = None) -> list:
     return basis
 
 
-def solve(a: Mat, b: Vec):
+def solve(a, b: Vec, cols: int | None = None):
     """One solution of a x = b, or None if inconsistent."""
-    if not a:
-        return [] if is_zero_vec(b) else None
-    n = len(a[0])
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    r, pivots = rref(aug)
-    for row in r:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    n = _width(a, cols)
+    aug = []
+    for row, bb in zip(a, b):
+        row = _sparse(row)
+        if bb != 0:
+            row[n] = bb
+        aug.append(row)
+    r, pivots = rref(aug, cols=n + 1)
+    if n in pivots:
+        return None
     x = zero_vec(n)
     for row_i, pc in enumerate(pivots):
-        if pc == n:
-            return None
         x[pc] = r[row_i][-1]
     return x
 
@@ -225,11 +228,18 @@ def inverse(m: Mat) -> Mat:
 
 
 def det(m: Mat) -> Fraction:
-    if not m:
-        return Fraction(1)
-    a, dens = _integer_rows(m)
-    r, d = _bareiss(a)
-    return Fraction(d, math.prod(dens)) if r == len(m) else Fraction(0)
+    """Product of the echelon pivots times the sign of row -> pivot column."""
+    basis = {}
+    cols = []
+    out = Fraction(1)
+    for row in m:
+        got = _insert(basis, _sparse(row))
+        if got is None:
+            return Fraction(0)
+        cols.append(got[0])
+        out *= got[1]
+    inversions = sum(1 for i, a in enumerate(cols) for b in cols[i + 1:] if a > b)
+    return -out if inversions % 2 else out
 
 
 def coordinates(rows, vectors) -> list:
@@ -308,11 +318,12 @@ class Subspace:
 
     @staticmethod
     def span(ambient: int, vectors) -> "Subspace":
-        vecs = [vector(v) for v in vectors]
+        """Span of dense vectors or {coordinate: value} dicts."""
+        vecs = list(vectors)
         for v in vecs:
-            if len(v) != ambient:
+            if not isinstance(v, dict) and len(v) != ambient:
                 raise ValueError("vector length %d != ambient %d" % (len(v), ambient))
-        r, p = rref(vecs) if vecs else ([], [])
+        r, p = rref(vecs, cols=ambient)
         return Subspace(ambient, tuple(tuple(row) for row in r), tuple(p))
 
     @staticmethod
@@ -361,13 +372,7 @@ class Subspace:
 
 def extend_to_basis(vectors, ambient: int) -> list:
     """Standard basis vectors extending the given independent set to a basis."""
-    sub = Subspace.span(ambient, vectors)
-    extra = []
-    for e in identity(ambient):
-        if not sub.contains(e):
-            extra.append(e)
-            sub = Subspace.span(ambient, sub.basis() + [e])
-    return extra
+    return independent(vectors, identity(ambient))
 
 
 def jordan_chain_basis(n_mat: Mat) -> list:
@@ -389,13 +394,7 @@ def jordan_chain_basis(n_mat: Mat) -> list:
     # tops at level i must extend ker^{i-1} + N(previous tops at level i+1)
     carried = []  # images of higher tops, living at the current level
     for lvl in range(depth, 0, -1):
-        base = kers[lvl - 1]
-        span_now = Subspace.span(n, base.basis() + carried)
-        tops = []
-        for cand in kers[lvl].basis():
-            if not span_now.contains(cand):
-                tops.append(cand)
-                span_now = Subspace.span(n, span_now.basis() + [cand])
+        tops = independent(kers[lvl - 1].basis() + carried, kers[lvl].basis())
         for top in tops:
             chain = [top]
             for _ in range(lvl - 1):

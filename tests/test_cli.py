@@ -1,7 +1,9 @@
 import json
 import os
 import shutil
+import signal
 import subprocess
+import sys
 
 import pytest
 
@@ -394,3 +396,20 @@ def test_installed_entry_point():
         capture_output=True, text=True, env=dict(os.environ))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["exact_one"] is True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_ends_quietly():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # the dump (about 150 kB) overflows any pipe buffer, so the child meets the
+    # closed pipe whether or not it starts writing before the close below
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lie_sbe.cli", "catalog", "dump", "heis(3001)"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert err == b""

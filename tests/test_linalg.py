@@ -27,6 +27,7 @@ from lie_sbe.linalg import (
     frac,
     gram_matrix,
     identity,
+    independent,
     inverse,
     jordan_block,
     jordan_chain_basis,
@@ -204,6 +205,24 @@ def test_elimination_matches_the_dense_references():
         assert extend_to_basis(m, c) == _ref_extend_to_basis(m, c)
         if len(m) == c:
             assert det(m) == _ref_det(m)
+
+
+def test_dict_rows_and_independent_match_the_references():
+    for m in _sweep_matrices(count=150, seed=22):
+        c = len(m[0])
+        rows = [{j: x for j, x in enumerate(row) if x != 0} for row in m]
+        assert rank(rows) == _ref_rank(m)
+        assert rref(rows, cols=c) == _ref_rref(m)
+        assert nullspace(rows, cols=c) == _ref_nullspace(m)
+        b = [Fraction(k - 1) for k in range(len(m))]
+        assert solve(rows, b, cols=c) == _ref_solve(m, b)
+        base, candidates = m[: len(m) // 2], m[len(m) // 2:] + identity(c)
+        kept = []
+        for v in candidates:
+            if _ref_rank(base + kept + [v]) > _ref_rank(base + kept):
+                kept.append(v)
+        assert independent(base, candidates) == kept
+        assert independent(rows, identity(c)) == _ref_extend_to_basis(m, c)
 
 
 def _signed_permutation_copy(law, seed):
