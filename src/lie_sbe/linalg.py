@@ -200,7 +200,7 @@ def nullspace(m, cols: int | None = None) -> list:
 
 
 def solve(a, b: Vec, cols: int | None = None):
-    """One solution of a x = b, or None if inconsistent."""
+    """One solution of a x = b, or None if inconsistent; rows as for rref."""
     n = _width(a, cols)
     aug = []
     for row, bb in zip(a, b):

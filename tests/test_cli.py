@@ -403,8 +403,8 @@ def test_closed_stdout_ends_quietly():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # the dump (about 150 kB) overflows any pipe buffer, so the child meets the
-    # closed pipe whether or not it starts writing before the close below
+    # the dump (about 150 kB) overflows a default 64 KiB pipe buffer, so the
+    # child meets the closed pipe whether or not it writes before the close
     proc = subprocess.Popen(
         [sys.executable, "-m", "lie_sbe.cli", "catalog", "dump", "heis(3001)"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
