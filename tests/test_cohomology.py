@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from lie_sbe import catalog
+from lie_sbe.catalog import catalog_names
 from lie_sbe.cohomology import (
     Cochain,
+    Differential,
     adjoint_h_dim,
     apply_differential,
     betti_numbers,
@@ -24,8 +27,8 @@ from lie_sbe.cohomology import (
     wedge,
 )
 from lie_sbe.errors import InputError, PreconditionError
-from lie_sbe.laws import LieLaw, center, derivations
-from lie_sbe.linalg import Subspace
+from lie_sbe.laws import LieLaw, center, derivations, law_in_basis, semidirect_rank_one
+from lie_sbe.linalg import Subspace, diagonal, mat_mul
 
 
 def _rand_cochain(rng, n, q, module):
@@ -34,6 +37,117 @@ def _rand_cochain(rng, n, q, module):
     for key in rng.sample(basis, min(4, len(basis))):
         terms[key] = Fraction(rng.randint(-3, 3))
     return Cochain(n, q, module, {k: v for k, v in terms.items() if v != 0})
+
+
+# Reference builder: the Chevalley-Eilenberg differential as cohomology built
+# it from dense bracket_basis vectors, (S, k) position maps and one global sort.
+
+def _reference_differential(law, q, module):
+    n = law.dim
+    cols = cochain_basis(n, q, module)
+    rows = cochain_basis(n, q + 1, module)
+    col_pos = {key: i for i, key in enumerate(cols)}
+    row_pos = {key: i for i, key in enumerate(rows)}
+    acc = {}
+
+    def add(r, c, v):
+        acc[(r, c)] = acc.get((r, c), Fraction(0)) + v
+
+    values = range(n) if module == "adjoint" else (None,)
+    for t in itertools.combinations(range(n), q + 1):
+        if module == "adjoint":
+            for i in range(q + 1):
+                s = t[:i] + t[i + 1:]
+                sign = -1 if i % 2 else 1
+                for k in range(n):
+                    col = col_pos.get((s, k))
+                    if col is None:
+                        continue
+                    br = law.bracket_basis(t[i], k)
+                    for m, c in enumerate(br):
+                        if c != 0:
+                            add(row_pos[(t, m)], col, sign * c)
+        for i in range(q + 1):
+            for j in range(i + 1, q + 1):
+                br = law.bracket_basis(t[i], t[j])
+                rest = tuple(x for p, x in enumerate(t) if p not in (i, j))
+                base_sign = -1 if (i + j) % 2 else 1
+                for m, c in enumerate(br):
+                    if c == 0 or m in rest:
+                        continue
+                    pos = sum(1 for r in rest if r < m)
+                    s = tuple(sorted(rest + (m,)))
+                    sgn = base_sign * (-1 if pos % 2 else 1) * c
+                    for k in values:
+                        col = col_pos.get((s, k))
+                        if col is not None:
+                            add(row_pos[(t, k)], col, sgn)
+    entries = tuple(
+        (r, c, v) for (r, c), v in sorted(acc.items()) if v != 0
+    )
+    return Differential(rows=tuple(rows), cols=tuple(cols), entries=entries)
+
+
+def _unimodular_copy(law, seed, shears):
+    """The law in a signed-permutation basis, then sheared `shears` times."""
+    rng = random.Random(seed)
+    n = law.dim
+    perm = list(range(n))
+    rng.shuffle(perm)
+    cols = [[Fraction(0)] * n for _ in range(n)]
+    for j, i in enumerate(perm):
+        cols[i][j] = Fraction(rng.choice((-1, 1)))
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        e = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+        e[i][j] = Fraction(rng.choice((-1, 1)))
+        cols = mat_mul(cols, e)
+    return law_in_basis(law, cols)
+
+
+def _three_forms(law):
+    """The law as given, a signed-permutation copy and a densely sheared copy."""
+    n = law.dim
+    return (law, _unimodular_copy(law, n, 0), _unimodular_copy(law, n, 2 * n))
+
+
+def _fractional_laws():
+    """Laws whose structure constants have the denominators 2, 3 and 6."""
+    mixed = law_in_basis(catalog("l_6_13"), diagonal(1, 1, 2, 3, 1, 1))
+    r3 = semidirect_rank_one(LieLaw(3, {}), diagonal(1, 1, Fraction(3, 2)))
+    return (mixed, r3, _unimodular_copy(r3, 4, 8))
+
+
+def _assert_canonical(d):
+    """Nonzero Fraction entries in strictly increasing (row, col) order."""
+    keys = [(r, c) for r, c, _ in d.entries]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert all(type(v) is Fraction and v != 0 for _, _, v in d.entries)
+    assert all(0 <= r < len(d.rows) and 0 <= c < len(d.cols) for r, c in keys)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog(n).dim <= 8])
+def test_differential_matches_the_reference_builder(name):
+    for law in _three_forms(catalog(name)):
+        n = law.dim
+        for module, top in (("trivial", n), ("adjoint", min(n, 3))):
+            for q in range(top + 1):
+                d = differential(law, q, module)
+                assert d == _reference_differential(law, q, module)
+                _assert_canonical(d)
+
+
+def test_differential_with_fractional_constants():
+    for law in _fractional_laws():
+        dens = {c.denominator for t in law.table.values() for c in t.values()}
+        assert dens - {1}
+        if law.dim == 6:
+            assert dens == {1, 2, 3}
+        for module in ("trivial", "adjoint"):
+            for q in range(law.dim + 1):
+                d = differential(law, q, module)
+                assert d == _reference_differential(law, q, module)
+                _assert_canonical(d)
 
 
 def test_cochain_validation():
@@ -68,8 +182,9 @@ def test_degree_bounds_and_h0():
 
 
 def test_differential_squares_to_zero():
-    for name in ("heis(3)", "b(3,R)", "s_prime", "l_6_6"):
-        law = catalog(name)
+    laws = [form for name in ("heis(3)", "b(3,R)", "s_prime", "l_6_6")
+            for form in _three_forms(catalog(name))]
+    for law in laws + list(_fractional_laws()):
         for module in ("trivial", "adjoint"):
             for q in range(law.dim):
                 assert composition_is_zero(law, q, module)
