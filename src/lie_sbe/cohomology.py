@@ -13,6 +13,7 @@ in (S, k); vectors over that order are what the matrices act on.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -40,6 +41,8 @@ class Cochain:
                 raise InputError("bad index tuple %r for degree %d" % (s, self.degree))
             if (k is None) != (self.module == "trivial"):
                 raise InputError("value index must be present exactly for adjoint cochains")
+            if any(not 0 <= x < self.dim for x in s + ((k,) if k is not None else ())):
+                raise InputError("index out of range 0..%d in term %r" % (self.dim - 1, (s, k)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.terms.values())
@@ -87,6 +90,13 @@ def vector_to_cochain(v, n: int, q: int, module: str) -> Cochain:
 
 @dataclass(frozen=True)
 class Differential:
+    """The matrix of d_q: C^q -> C^{q+1}, stored sparse.
+
+    `rows` and `cols` are `cochain_basis` of degrees q+1 and q, so indices
+    follow the lexicographic (S, k) order.  `entries` holds each nonzero
+    entry once, as a Fraction, sorted by (row, col).
+    """
+
     rows: tuple          # basis keys of C^{q+1}
     cols: tuple          # basis keys of C^q
     entries: tuple       # sparse ((row, col, value), ...)
@@ -114,49 +124,66 @@ class Differential:
 
 
 def _build_differential(law: LieLaw, q: int, module: str) -> Differential:
+    """d_q walked off the sparse structure constants, one row group at a time.
+
+    Row (T, k) sits at index(T) * width + k and column (S, k) at
+    index(S) * width + k, where index is the lexicographic position of the
+    subset and width is n (adjoint) or 1 (trivial).  Entries are sums of
+    signed structure constants, so the table is scaled once by the lcm L of
+    its denominators, sums are taken over int and emitted as v / L.
+    """
     n = law.dim
     cols = cochain_basis(n, q, module)
     rows = cochain_basis(n, q + 1, module)
-    col_pos = {key: i for i, key in enumerate(cols)}
-    row_pos = {key: i for i, key in enumerate(rows)}
-    acc = {}
-
-    def add(r, c, v):
-        acc[(r, c)] = acc.get((r, c), Fraction(0)) + v
-
-    values = range(n) if module == "adjoint" else (None,)
-    for t in itertools.combinations(range(n), q + 1):
+    width = n if module == "adjoint" else 1
+    ncols = len(cols)
+    scale = math.lcm(*(c.denominator for t in law.table.values() for c in t.values()))
+    pairs = {}                                  # (i, j), i < j -> [(m, L * c)]
+    acts = [[] for _ in range(n)]               # x -> [(k, m, L * c)]: [e_x, e_k] terms
+    for (i, j), targets in law.table.items():
+        scaled = [(m, c.numerator * (scale // c.denominator)) for m, c in targets.items()]
+        pairs[(i, j)] = scaled
+        acts[i].extend((j, m, v) for m, v in scaled)
+        acts[j].extend((i, m, -v) for m, v in scaled)
+    subset_index = {s: x for x, (s, _) in enumerate(cols[::width])}
+    fracs = {}
+    entries = []
+    for ti, (t, _) in enumerate(rows[::width]):
+        group = {}                              # (row - ti * width) * ncols + col -> int
         if module == "adjoint":
-            for i in range(q + 1):
-                s = t[:i] + t[i + 1:]
+            for i, x in enumerate(t):
+                base = subset_index[t[:i] + t[i + 1:]] * n
                 sign = -1 if i % 2 else 1
-                for k in range(n):
-                    col = col_pos.get((s, k))
-                    if col is None:
-                        continue
-                    br = law.bracket_basis(t[i], k)
-                    for m, c in enumerate(br):
-                        if c != 0:
-                            add(row_pos[(t, m)], col, sign * c)
+                for k, m, v in acts[x]:
+                    key = m * ncols + base + k
+                    group[key] = group.get(key, 0) + sign * v
         for i in range(q + 1):
             for j in range(i + 1, q + 1):
-                br = law.bracket_basis(t[i], t[j])
-                rest = tuple(x for p, x in enumerate(t) if p not in (i, j))
-                base_sign = -1 if (i + j) % 2 else 1
-                for m, c in enumerate(br):
-                    if c == 0 or m in rest:
+                terms = pairs.get((t[i], t[j]))
+                if terms is None:
+                    continue
+                rest = t[:i] + t[i + 1:j] + t[j + 1:]
+                odd = (i + j) % 2
+                for m, v in terms:
+                    pos = bisect.bisect_left(rest, m)
+                    if pos < len(rest) and rest[pos] == m:
                         continue
-                    pos = sum(1 for r in rest if r < m)
-                    s = tuple(sorted(rest + (m,)))
-                    sgn = base_sign * (-1 if pos % 2 else 1) * c
-                    for k in values:
-                        col = col_pos.get((s, k))
-                        if col is not None:
-                            add(row_pos[(t, k)], col, sgn)
-    entries = tuple(
-        (r, c, v) for (r, c), v in sorted(acc.items()) if v != 0
-    )
-    return Differential(rows=tuple(rows), cols=tuple(cols), entries=entries)
+                    col = subset_index[rest[:pos] + (m,) + rest[pos:]] * width
+                    if (odd + pos) % 2:
+                        v = -v
+                    # (row offset k, column col + k) for every value index k
+                    for key in range(col, col + width * (ncols + 1), ncols + 1):
+                        group[key] = group.get(key, 0) + v
+        row0 = ti * width
+        for key in sorted(group):
+            v = group[key]
+            if v:
+                f = fracs.get(v)
+                if f is None:
+                    f = fracs[v] = Fraction(v, scale)
+                r, c = divmod(key, ncols)
+                entries.append((row0 + r, c, f))
+    return Differential(rows=tuple(rows), cols=tuple(cols), entries=tuple(entries))
 
 
 def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:

@@ -159,6 +159,19 @@ def test_cochain_validation():
         Cochain(3, 1, "spooky", {})
 
 
+@pytest.mark.parametrize("module, key", [
+    ("trivial", ((5,), None)),
+    ("trivial", ((-1,), None)),
+    ("adjoint", ((0,), 7)),
+    ("adjoint", ((3,), 0)),
+    ("adjoint", ((0,), -1)),
+])
+def test_cochain_rejects_indices_out_of_range(module, key):
+    with pytest.raises(InputError):
+        Cochain(3, 1, module, {key: Fraction(1)})
+    Cochain(3, 1, module, {((2,), None if module == "trivial" else 2): Fraction(1)})
+
+
 def test_betti_literals():
     assert betti_numbers(catalog("heis(3)")) == [1, 2, 2, 1]
     assert betti_numbers(catalog("b(2,R)")) == [1, 1, 0]
