@@ -23,17 +23,6 @@ from .cohomology import (
     differential,
     wedge,
 )
-from .curvature import (
-    CurvatureReport,
-    Frame,
-    PansuReport,
-    alpha_from_law,
-    curvature_tensor,
-    frame_matrices,
-    pansu_consistency,
-    pinching_estimate,
-    sectional,
-)
 from .deformation import (
     Certificate,
     ExpandabilityReport,
@@ -101,3 +90,25 @@ from .laws import (
 )
 
 __version__ = "1.0.0"
+
+# The curvature layer is the only one that needs numpy, so it is imported on
+# first use of one of its names.  Nothing is cached here: every access reads
+# the attribute of lie_sbe.curvature as it is now.
+_CURVATURE = frozenset((
+    "CurvatureReport",
+    "Frame",
+    "PansuReport",
+    "alpha_from_law",
+    "curvature_tensor",
+    "frame_matrices",
+    "pansu_consistency",
+    "pinching_estimate",
+    "sectional",
+))
+
+
+def __getattr__(name):
+    if name in _CURVATURE:
+        from . import curvature
+        return getattr(curvature, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

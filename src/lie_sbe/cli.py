@@ -21,7 +21,6 @@ from . import jsonio
 from .buildings import building_cdim, equal_cdim_search, tyson_identities
 from .catalog import catalog, catalog_names
 from .cohomology import adjoint_h_dim, betti_numbers, cohomology_basis
-from .curvature import alpha_from_law, pansu_consistency, pinching_estimate
 from .deformation import (
     apply_family,
     contraction_limit,
@@ -294,6 +293,8 @@ def cmd_table2(args):
 
 def _alpha_arg(spec: str):
     if spec.startswith("catalog:"):
+        from .curvature import alpha_from_law
+
         return alpha_from_law(load_law(spec))
     data = _json_arg(spec)
     try:
@@ -308,6 +309,9 @@ def _alpha_arg(spec: str):
 
 
 def cmd_pinch(args):
+    # the float layer, and numpy with it, is loaded only by this command
+    from .curvature import pansu_consistency, pinching_estimate
+
     alpha = _alpha_arg(args.alpha)
     if args.pansu:
         pr = pansu_consistency(alpha, args.eps, samples=args.samples, seed=args.seed)

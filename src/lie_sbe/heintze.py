@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy
-
 from . import polynomials as poly
 from .deformation import h2c_certificate
 from .errors import InputError, PreconditionError
@@ -99,6 +97,8 @@ def normalize_derivation(alpha) -> NormalizedDerivation:
             )
         scaled = tuple(tuple(x / r for x in row) for row in a)
         return NormalizedDerivation(scaled, r, True)
+    import numpy  # only this fallback needs floats; keep it out of start-up
+
     rts = numpy.roots([float(c) for c in reversed(cp)])
     m = min(z.real for z in rts)
     if m <= NUMERIC_TOL:

@@ -15,6 +15,9 @@ from fractions import Fraction
 Vec = list
 Mat = list
 
+# Fraction is immutable, so every zero cell can share this one object.
+_ZERO = Fraction(0)
+
 
 def frac(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -179,7 +182,7 @@ def rref(m, cols: int | None = None):
         row = basis[p]
         for q in [c for c in row if c != p and c in basis]:
             _subtract(row, row[q], basis[q])
-    return [[basis[p].get(j, Fraction(0)) for j in range(n)] for p in pivots], pivots
+    return [[basis[p].get(j, _ZERO) for j in range(n)] for p in pivots], pivots
 
 
 def nullspace(m, cols: int | None = None) -> list:

@@ -399,17 +399,48 @@ def test_installed_entry_point():
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
-def test_closed_stdout_ends_quietly():
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+def test_closed_stdout_ends_quietly(child_env):
     # the dump (about 150 kB) overflows a default 64 KiB pipe buffer, so the
     # child meets the closed pipe whether or not it writes before the close
     proc = subprocess.Popen(
         [sys.executable, "-m", "lie_sbe.cli", "catalog", "dump", "heis(3001)"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
     assert proc.wait(timeout=60) == -signal.SIGPIPE
     assert err == b""
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+_STARTUP_PROBE = """
+import contextlib, io, json, sys
+import lie_sbe
+from lie_sbe import cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.run(argv)
+    return code, out.getvalue()
+
+codes = [run(argv)[0] for argv in (["catalog", "list"], ["check", "catalog:b(3,R)"],
+                                   ["table2", "--text"])]
+numpy_before = "numpy" in sys.modules
+code, out = run(["pinch", "--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--samples", "2000",
+                 "--pansu"])
+print(json.dumps({"codes": codes, "numpy_before": numpy_before, "pinch_code": code,
+                  "pinch_out": out, "numpy_after": "numpy" in sys.modules}))
+"""
+
+
+def test_numpy_is_loaded_only_by_the_float_commands(fresh_python):
+    report = json.loads(fresh_python(_STARTUP_PROBE))
+    assert report["codes"] == [0, 0, 0]
+    assert report["numpy_before"] is False
+    # the README pinch command loads the float layer and prints its golden bytes
+    assert report["pinch_code"] == 0
+    assert report["numpy_after"] is True
+    with open(os.path.join(GOLDEN, "readme_pinch.out"), "rb") as fh:
+        assert report["pinch_out"].encode("utf-8") == fh.read()

@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lie_sbe import catalog
+import lie_sbe
+from lie_sbe import catalog, curvature
 from lie_sbe.curvature import (
     _plane_curvatures,
     _refine,
@@ -311,3 +312,16 @@ def test_a_plane_that_spans_nothing_is_redrawn(monkeypatch):
     values = [rep.sec_min, rep.sec_max, rep.bianchi_max,
               *rep.min_pair[0], *rep.min_pair[1], *rep.max_pair[0], *rep.max_pair[1]]
     assert all(math.isfinite(x) for x in values)
+
+
+CURVATURE_NAMES = ("CurvatureReport", "Frame", "PansuReport", "alpha_from_law",
+                   "curvature_tensor", "frame_matrices", "pansu_consistency",
+                   "pinching_estimate", "sectional")
+
+
+def test_package_resolves_the_curvature_names_lazily():
+    for name in CURVATURE_NAMES:
+        assert getattr(lie_sbe, name) is getattr(curvature, name)
+    from lie_sbe import pinching_estimate as imported
+    assert imported is curvature.pinching_estimate
+    assert not hasattr(lie_sbe, "no_such_name")

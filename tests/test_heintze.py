@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -54,6 +55,24 @@ def test_normalize_derivation_numeric_fallback():
     rot = normalize_derivation(matrix([[1, 1], [-1, 1]]))
     assert not rot.exact
     assert abs(rot.m - 1.0) < 1e-9
+
+
+_TIED_FALLBACK = """
+import json, sys
+from lie_sbe.heintze import normalize_derivation
+numpy_before = "numpy" in sys.modules
+# I2 + [[1,-2],[2,1]]: the real part 1 is tied, so it is not certified exactly
+nd = normalize_derivation([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
+print(json.dumps({"numpy_before": numpy_before, "m": nd.m,
+                  "is_float": type(nd.m) is float, "exact": nd.exact}))
+"""
+
+
+def test_normalize_derivation_imports_numpy_for_its_fallback(fresh_python):
+    out = json.loads(fresh_python(_TIED_FALLBACK))
+    assert out["numpy_before"] is False
+    assert out["is_float"] and not out["exact"]
+    assert abs(out["m"] - 1.0) < 1e-6
 
 
 def test_normalize_derivation_rejects_nonpositive():
