@@ -93,7 +93,8 @@ __version__ = "1.0.0"
 
 # The curvature layer is the only one that needs numpy, so it is imported on
 # first use of one of its names.  Nothing is cached here: every access reads
-# the attribute of lie_sbe.curvature as it is now.
+# lie_sbe.curvature afresh, so a wrapper set on that module (as the benchmark's
+# tracer sets) is also what the package hands out.
 _CURVATURE = frozenset((
     "CurvatureReport",
     "Frame",

@@ -416,7 +416,6 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 _STARTUP_PROBE = """
 import contextlib, io, json, sys
-import lie_sbe
 from lie_sbe import cli
 
 def run(argv):
