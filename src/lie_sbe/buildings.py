@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import InputError, LieSbeError
 from .linalg import frac
@@ -23,17 +24,19 @@ from .linalg import frac
 MAX_BOUND = 64
 
 
+def _chebyshev_values(x: Fraction):
+    """T_0(x), T_1(x), T_2(x), ... by the three-term recurrence."""
+    prev, cur = Fraction(1), x
+    while True:
+        yield prev
+        prev, cur = cur, 2 * x * cur - prev
+
+
 def chebyshev(k: int, x) -> Fraction:
     """First-kind Chebyshev value T_k(x), exact."""
     if k < 0:
         raise InputError("chebyshev index must be nonnegative, got %d" % k)
-    x = frac(x)
-    prev, cur = Fraction(1), x
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+    return next(islice(_chebyshev_values(frac(x)), k, None))
 
 
 def _check_params(p: int, q: int):
@@ -62,40 +65,38 @@ def building_cdim(p: int, q: int) -> CdimValue:
     return CdimValue(p, q, value, False, (r, s))
 
 
-def tyson_identities(p: int, q: int, p2: int, q2: int, bound: int,
-                     include_imprimitive: bool = False):
-    """Pairs (m, n) with 1 <= m, n <= bound satisfying both
+def _check_bound(bound):
+    if not (1 <= bound <= MAX_BOUND):
+        raise InputError("bound must be between 1 and %d, got %r" % (MAX_BOUND, bound))
+
+
+def tyson_identities(p: int, q: int, p2: int, q2: int, bound: int):
+    """The primitive pair (m, n) with 1 <= m, n <= bound satisfying both
 
         (q2 - 1)^m = (q - 1)^n
         T_m((p2 - 2)/2) = T_n((p - 2)/2)
 
-    exactly.  A pair that is an integer multiple of a smaller witness is
-    dropped unless include_imprimitive is set.
+    exactly, as a one-element list, or [] if there is none.
+
+    With x = (p - 2)/2 = cosh(a) > 1, T_n(x) = cosh(na) grows strictly in n,
+    so the Chebyshev identity holds exactly on the multiples of its first
+    pair, and the power identity on the multiples of one pair (or on every
+    pair when q = q2 = 2).  So both hold on the multiples of the first
+    Chebyshev pair if the power identity holds there, and nowhere otherwise.
     """
     _check_params(p, q)
     _check_params(p2, q2)
-    if not (1 <= bound <= MAX_BOUND):
-        raise InputError("bound must be between 1 and %d, got %r" % (MAX_BOUND, bound))
-    x, x2 = Fraction(p - 2, 2), Fraction(p2 - 2, 2)
-    cheb = [None] + [chebyshev(n, x) for n in range(1, bound + 1)]
-    cheb2 = [None] + [chebyshev(m, x2) for m in range(1, bound + 1)]
-    raw = set()
-    for m in range(1, bound + 1):
-        lhs = (q2 - 1) ** m
-        for n in range(1, bound + 1):
-            if lhs == (q - 1) ** n and cheb2[m] == cheb[n]:
-                raw.add((m, n))
-    if include_imprimitive:
-        return sorted(raw)
-    out = []
-    for m, n in sorted(raw):
-        reducible = any(
-            m % t == 0 and n % t == 0 and (m // t, n // t) in raw
-            for t in range(2, m + 1)
-        )
-        if not reducible:
-            out.append((m, n))
-    return out
+    _check_bound(bound)
+    ts = _chebyshev_values(Fraction(p - 2, 2))
+    n, t = 0, next(ts)
+    for m, t2 in enumerate(islice(_chebyshev_values(Fraction(p2 - 2, 2)), 1, bound + 1), 1):
+        while t < t2 and n < bound:
+            n, t = n + 1, next(ts)
+        if t == t2:
+            return [(m, n)] if (q2 - 1) ** m == (q - 1) ** n else []
+        if t < t2:
+            break
+    return []
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,7 @@ def equal_cdim_search(p_max: int, q_max: int, bound: int):
     Every emitted hit has its two float values agreeing to 1e-9; a
     disagreement would mean the identities are wrong and raises.
     """
+    _check_bound(bound)
     if not (5 <= p_max <= MAX_BOUND):
         raise InputError("p_max must be between 5 and %d, got %r" % (MAX_BOUND, p_max))
     if q_max < 2:

@@ -74,20 +74,13 @@ def _kernel_dims(power_of, total):
 
 def _layout_exact(an) -> FrameLayout:
     n = len(an)
-    cp = char_poly(an)
-    q = poly.compose_shift(cp, 1)             # roots shifted by the real part 1
+    q = poly.compose_shift(char_poly(an), 1)  # roots shifted by the real part 1
+    if not poly.all_roots_imaginary(q):
+        raise PreconditionError("uneven real parts in the spectrum")
     a = 0
     while a < len(q) and q[a] == 0:
         a += 1
-    s = q[a:]
-    if any(s[k] != 0 for k in range(1, len(s), 2)):
-        raise PreconditionError("uneven real parts in the spectrum")
-    r = list(s[0::2])
-    if poly.degree(r) > 0:
-        if not poly.all_roots_real(r):
-            raise PreconditionError("uneven real parts in the spectrum")
-        if poly.count_real_roots(r, None, Fraction(0)) != poly.count_real_roots(r):
-            raise PreconditionError("uneven real parts in the spectrum")
+    r = list(q[a::2])                         # q(x) = x^a r(x^2)
     real_blocks = ()
     if a:
         m1 = mat_sub(an, identity(n))

@@ -548,29 +548,12 @@ def torus_check(law: LieLaw, mats) -> TorusReport:
                 failures.append("matrices %d and %d do not commute" % (a + 1, b + 1))
     compact = True
     for idx, d in enumerate(mats):
-        if not _purely_imaginary_spectrum(char_poly(d)):
+        if not poly.all_roots_imaginary(char_poly(d)):
             compact = False
             failures.append("matrix %d has spectrum off the imaginary axis" % (idx + 1))
     is_torus = not any("derivation" in f or "semisimple" in f or "commute" in f for f in failures)
     return TorusReport(is_torus=is_torus, is_compact=is_torus and compact,
                        failures=tuple(failures))
-
-
-def _purely_imaginary_spectrum(p) -> bool:
-    p = poly.normalize(p)
-    e = 0
-    while p and p[0] == 0:
-        p = poly.normalize(p[1:])
-        e += 1
-    if poly.degree(p) <= 0:
-        return True
-    # nonzero roots must come in pairs +-i*tau: only even powers may appear
-    if any(c != 0 for i, c in enumerate(p) if i % 2 == 1):
-        return False
-    r = [c for i, c in enumerate(p) if i % 2 == 0]
-    if not poly.all_roots_real(r):
-        return False
-    return poly.count_real_roots(r, None, Fraction(0)) == poly.count_real_roots(r)
 
 
 @dataclass(frozen=True)

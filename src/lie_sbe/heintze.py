@@ -100,13 +100,13 @@ def normalize_derivation(alpha) -> NormalizedDerivation:
     import numpy  # only this fallback needs floats; keep it out of start-up
 
     rts = numpy.roots([float(c) for c in reversed(cp)])
-    m = min(z.real for z in rts)
+    m = float(min(z.real for z in rts))
     if m <= NUMERIC_TOL:
         raise PreconditionError(
             "smallest real part of the spectrum is about %.3g, need it positive" % m
         )
     scaled = tuple(tuple(float(x) / m for x in row) for row in a)
-    return NormalizedDerivation(scaled, float(m), False)
+    return NormalizedDerivation(scaled, m, False)
 
 
 # ------------------------------------------------------------------- datum --

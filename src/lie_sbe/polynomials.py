@@ -170,6 +170,20 @@ def all_roots_real(p) -> bool:
     return count_real_roots(s) == degree(s)
 
 
+def all_roots_imaginary(p) -> bool:
+    """Does every root of p lie on the imaginary axis (zero included)?"""
+    p = normalize(p)
+    while p and p[0] == 0:
+        p = p[1:]
+    if degree(p) <= 0:
+        return True
+    # nonzero roots must come in pairs +-i*tau: only even powers may appear
+    if any(p[1::2]):
+        return False
+    r = p[0::2]                               # p(x) = r(x^2)
+    return all_roots_real(r) and count_real_roots(r, None, Fraction(0)) == count_real_roots(r)
+
+
 def is_squarefree(p) -> bool:
     p = normalize(p)
     if degree(p) <= 0:

@@ -68,11 +68,53 @@ def test_building_cdim_rejects_bad_parameters():
         building_cdim("5", 3)
 
 
+def _reference_tyson(p, q, p2, q2, bound, include_imprimitive=False):
+    """The double loop over (m, n) <= bound with its primitivity filter."""
+    x, x2 = Fraction(p - 2, 2), Fraction(p2 - 2, 2)
+    cheb = [None] + [chebyshev(n, x) for n in range(1, bound + 1)]
+    cheb2 = [None] + [chebyshev(m, x2) for m in range(1, bound + 1)]
+    raw = set()
+    for m in range(1, bound + 1):
+        lhs = (q2 - 1) ** m
+        for n in range(1, bound + 1):
+            if lhs == (q - 1) ** n and cheb2[m] == cheb[n]:
+                raw.add((m, n))
+    if include_imprimitive:
+        return sorted(raw)
+    out = []
+    for m, n in sorted(raw):
+        reducible = any(
+            m % t == 0 and n % t == 0 and (m // t, n // t) in raw
+            for t in range(2, m + 1)
+        )
+        if not reducible:
+            out.append((m, n))
+    return out
+
+
+_NAMED = ((6, 3, 16, 5), (7, 4, 7, 4), (5, 3, 6, 3))
+
+
+def test_tyson_identities_matches_the_double_loop():
+    for p in range(5, 13):
+        for q in range(2, 6):
+            for p2 in range(5, 13):
+                for q2 in range(2, 6):
+                    for bound in (1, 2, 5, 12):
+                        want = _reference_tyson(p, q, p2, q2, bound)
+                        assert tyson_identities(p, q, p2, q2, bound) == want, \
+                            (p, q, p2, q2, bound)
+    for case in _NAMED:
+        assert tyson_identities(*case, 64) == _reference_tyson(*case, 64)
+
+
 def test_tyson_identities_hexagon_vs_16gon():
-    assert tyson_identities(6, 3, 16, 5, 10) == [(1, 2)]
-    sup = tyson_identities(6, 3, 16, 5, 10, include_imprimitive=True)
+    [(m0, n0)] = tyson_identities(6, 3, 16, 5, 10)
+    assert (m0, n0) == (1, 2)
+    sup = _reference_tyson(6, 3, 16, 5, 10, include_imprimitive=True)
     assert set(sup) >= {(1, 2), (2, 4)}
-    assert all(m * 2 == n for m, n in sup)
+    # every witness, primitive or not, is a multiple of the returned pair
+    assert all(m % m0 == 0 and n == m // m0 * n0 for m, n in sup)
 
 
 def test_tyson_identities_symmetric_pair():
@@ -106,3 +148,12 @@ def test_equal_cdim_search_guards():
         equal_cdim_search(4, 6, 4)
     with pytest.raises(InputError):
         equal_cdim_search(20, 1, 4)
+
+
+def test_equal_cdim_search_checks_the_bound_without_a_pair_to_try():
+    # every pair of (6, 2) lies on the skipped q = q2 = 2 line; (5, 2) has none
+    for p_max in (5, 6):
+        with pytest.raises(InputError, match="bound must be between 1 and 64"):
+            equal_cdim_search(p_max, 2, 999)
+        with pytest.raises(InputError):
+            equal_cdim_search(p_max, 2, 0)

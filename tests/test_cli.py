@@ -292,6 +292,15 @@ def test_buildings_pair_and_search(capsys):
         assert abs(h["cdim"] - h["cdim2"]) < 1e-9
 
 
+def test_buildings_search_checks_the_bound(capsys):
+    # (5, 2) has no pair to try, and every pair of (6, 2) is on the skipped q = q2 = 2 line
+    for p_max in ("5", "6"):
+        code, out, err = run_cli(capsys, ["buildings", "--search", p_max, "2", "999"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: bound must be between 1 and 64, got 999\n"
+
+
 def test_buildings_usage_errors(capsys):
     for argv in (
         ["buildings"],

@@ -64,7 +64,8 @@ numpy_before = "numpy" in sys.modules
 # I2 + [[1,-2],[2,1]]: the real part 1 is tied, so it is not certified exactly
 nd = normalize_derivation([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]])
 print(json.dumps({"numpy_before": numpy_before, "m": nd.m,
-                  "is_float": type(nd.m) is float, "exact": nd.exact}))
+                  "is_float": type(nd.m) is float, "exact": nd.exact,
+                  "entry_types": sorted({type(x).__name__ for row in nd.matrix for x in row})}))
 """
 
 
@@ -72,6 +73,7 @@ def test_normalize_derivation_imports_numpy_for_its_fallback(fresh_python):
     out = json.loads(fresh_python(_TIED_FALLBACK))
     assert out["numpy_before"] is False
     assert out["is_float"] and not out["exact"]
+    assert out["entry_types"] == ["float"]
     assert abs(out["m"] - 1.0) < 1e-6
 
 

@@ -91,6 +91,15 @@ def test_routh_hurwitz_against_known_spectra():
         assert not poly.all_roots_positive_real_part(char_poly(m))
 
 
+def test_all_roots_imaginary():
+    x = _p(0, 1)
+    assert poly.all_roots_imaginary(poly.mul(x, poly.mul(_p(1, 0, 1), _p(1, 0, 1))))  # x(x^2+1)^2
+    assert poly.all_roots_imaginary(_p(0, 0, 1))  # x^2: a double root at zero
+    assert not poly.all_roots_imaginary(_p(-1, 0, 1))  # x^2 - 1
+    assert not poly.all_roots_imaginary(_p(0, 1, 1))  # x^2 + x
+    assert poly.all_roots_imaginary(_p(3))  # a constant has no roots
+
+
 def test_all_roots_real_matches_sturm_on_char_polys():
     rng = random.Random(23)
     for _ in range(8):
