@@ -92,9 +92,6 @@ def _reference_tyson(p, q, p2, q2, bound, include_imprimitive=False):
     return out
 
 
-_NAMED = ((6, 3, 16, 5), (7, 4, 7, 4), (5, 3, 6, 3))
-
-
 def test_tyson_identities_matches_the_double_loop():
     for p in range(5, 13):
         for q in range(2, 6):
@@ -104,16 +101,16 @@ def test_tyson_identities_matches_the_double_loop():
                         want = _reference_tyson(p, q, p2, q2, bound)
                         assert tyson_identities(p, q, p2, q2, bound) == want, \
                             (p, q, p2, q2, bound)
-    for case in _NAMED:
+    for case in ((6, 3, 16, 5), (7, 4, 7, 4), (5, 3, 6, 3)):
         assert tyson_identities(*case, 64) == _reference_tyson(*case, 64)
 
 
 def test_tyson_identities_hexagon_vs_16gon():
-    [(m0, n0)] = tyson_identities(6, 3, 16, 5, 10)
-    assert (m0, n0) == (1, 2)
+    assert tyson_identities(6, 3, 16, 5, 10) == [(1, 2)]
     sup = _reference_tyson(6, 3, 16, 5, 10, include_imprimitive=True)
     assert set(sup) >= {(1, 2), (2, 4)}
     # every witness, primitive or not, is a multiple of the returned pair
+    [(m0, n0)] = tyson_identities(6, 3, 16, 5, 10)
     assert all(m % m0 == 0 and n == m // m0 * n0 for m, n in sup)
 
 
