@@ -122,8 +122,8 @@ def equal_cdim_search(p_max: int, q_max: int, bound: int):
     _check_bound(bound)
     if not (5 <= p_max <= MAX_BOUND):
         raise InputError("p_max must be between 5 and %d, got %r" % (MAX_BOUND, p_max))
-    if q_max < 2:
-        raise InputError("q_max must be at least 2, got %r" % (q_max,))
+    if not (2 <= q_max <= MAX_BOUND):
+        raise InputError("q_max must be between 2 and %d, got %r" % (MAX_BOUND, q_max))
     params = [(p, q) for p in range(5, p_max + 1) for q in range(2, q_max + 1)]
     hits = []
     for a, (p, q) in enumerate(params):

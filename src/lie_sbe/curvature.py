@@ -241,21 +241,35 @@ def frame_matrices(alpha, eps: float) -> Frame:
 
 # --------------------------------------------------------------- curvature --
 
+def _apply(m, x):
+    """m @ x for a stack of vectors x, as a product and a sum over the last axis."""
+    return np.sum(m * x[..., None, :], axis=-1)
+
+
+def _dot(a, b):
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
 def curvature_tensor(frame: Frame, x, y, z):
     """R(x, y)z in the orthonormal frame; the last coordinate is the acting
-    direction, the others span the abelian part."""
+    direction, the others span the abelian part.
+
+    x, y and z may be stacks of vectors along leading axes, which broadcast
+    against each other.  Every contraction is an elementwise product summed
+    over the last axis, so each vector of a stack gets the same bits as a
+    call on that vector alone.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     d, nmat = frame.d, frame.nmat
-    xn, xt = x[:-1], x[-1]
-    yn, yt = y[:-1], y[-1]
-    zn, zt = z[:-1], z[-1]
-    w = xt * (nmat @ yn) - yt * (nmat @ xn)
-    out = np.empty(frame.n + 1)
-    out[:-1] = -(d @ yn @ zn) * (d @ xn) + (d @ xn @ zn) * (d @ yn) + zt * w
-    out[-1] = -(zn @ w)
-    return out
+    xn, xt = x[..., :-1], x[..., -1:]
+    yn, yt = y[..., :-1], y[..., -1:]
+    zn, zt = z[..., :-1], z[..., -1:]
+    dx, dy = _apply(d, xn), _apply(d, yn)
+    w = xt * _apply(nmat, yn) - yt * _apply(nmat, xn)
+    head = -_dot(dy, zn) * dx + _dot(dx, zn) * dy + zt * w
+    return np.concatenate([head, -_dot(zn, w)], axis=-1)
 
 
 def sectional(frame: Frame, u, v) -> float:
@@ -268,6 +282,7 @@ def sectional(frame: Frame, u, v) -> float:
 
 
 def bianchi_residual(frame: Frame, x, y, z) -> float:
+    """Largest |R(x,y)z + R(y,z)x + R(z,x)y| entry, over stacks of triples too."""
     total = (curvature_tensor(frame, x, y, z)
              + curvature_tensor(frame, y, z, x)
              + curvature_tensor(frame, z, x, y))
@@ -275,6 +290,11 @@ def bianchi_residual(frame: Frame, x, y, z) -> float:
 
 
 # ---------------------------------------------------------------- sampling --
+
+# The planes are drawn in one (samples, 2, n + 1) block; a larger count would
+# ask numpy for gigabytes before the first plane is scored.
+MAX_SAMPLES = 10 ** 6
+
 
 @dataclass(frozen=True)
 class CurvatureReport:
@@ -345,59 +365,75 @@ def _plane_curvatures(frame: Frame, g):
     return num / (_rowdot(u, u) * _rowdot(v, v) - _rowdot(u, v) ** 2)
 
 
-def _golden(f, lo, hi, iters=24):
-    """Argmin of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _critical_offsets(a, b):
+    """Real t with K'(t) = 0 for K(t) = (a0 + a1 t + a2 t^2) / (b0 + b1 t + b2 t^2).
+
+    a'b - ab' has no t^3 term, so the critical points solve the quadratic
+    (a1 b0 - a0 b1) + 2 (a2 b0 - a0 b2) t + (a2 b1 - a1 b2) t^2 = 0.
+    """
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    c0, c1, c2 = a1 * b0 - a0 * b1, 2.0 * (a2 * b0 - a0 * b2), a2 * b1 - a1 * b2
+    if c2 == 0.0:
+        return [-c0 / c1] if c1 != 0.0 else []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if disc < 0.0:
+        return []
+    h = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+    return [h / c2, c0 / h] if h != 0.0 else [0.0]
 
 
 def _refine(frame, u, v, minimize, sweeps=3, radius=0.25):
+    """Coordinate sweeps on the pair (u, v), in place, toward the smallest
+    (minimize) or largest sectional curvature.
+
+    Sweep k moves each coordinate of u, then of v, by some t in [-r, r] with
+    r = radius / 4^k.  With the other vector q fixed, <R(p,q)q,p> = p.J p
+    for the Jacobi operator J[i, j] = <R(e_i,q)q,e_j>, and the Gram
+    determinant is quadratic in p too, so moving p_i by t gives a ratio of
+    two quadratics in t: the line search tries t = -r, r and the critical
+    points inside (-r, r).  The best t is taken only if `sectional` at the
+    moved pair strictly improves on the best value so far.
+    """
     n1 = frame.n + 1
+    eye = np.eye(n1)
     sign = 1.0 if minimize else -1.0
     best = sign * sectional(frame, u, v)
     for sweep in range(sweeps):
         r = radius / (4.0 ** sweep)
-        for idx in range(2 * n1):
-            def value(t, idx=idx):
-                uu = u.copy()
-                vv = v.copy()
-                if idx < n1:
-                    uu[idx] += t
-                else:
-                    vv[idx - n1] += t
-                den = (uu @ uu) * (vv @ vv) - (uu @ vv) ** 2
-                if den <= 1e-12:
-                    return math.inf
-                return sign * float(
-                    curvature_tensor(frame, uu, vv, vv) @ uu
-                ) / den
-            t = _golden(value, -r, r)
-            val = value(t)
-            if val < best:
-                best = val
-                if idx < n1:
-                    u[idx] += t
-                else:
-                    v[idx - n1] += t
+        for p, q in ((u, v), (v, u)):
+            jac = curvature_tensor(frame, eye, q, q)
+            jac = (jac + jac.T) / 2.0
+            qq = float(q @ q)
+            for i in range(n1):
+                jp = jac @ p
+                pq = float(p @ q)
+                a = (float(p @ jp), 2.0 * float(jp[i]), float(jac[i, i]))
+                b = (float(p @ p) * qq - pq * pq, 2.0 * (float(p[i]) * qq - pq * float(q[i])),
+                     qq - float(q[i]) ** 2)
+                t_best, k_best = 0.0, math.inf
+                for t in [-r, r] + [t for t in _critical_offsets(a, b) if -r < t < r]:
+                    den = b[0] + t * (b[1] + t * b[2])
+                    if den <= 1e-12:
+                        continue
+                    k = sign * (a[0] + t * (a[1] + t * a[2])) / den
+                    if k < k_best:
+                        t_best, k_best = t, k
+                if k_best == math.inf:
+                    continue
+                moved = p.copy()
+                moved[i] += t_best
+                val = sign * (sectional(frame, moved, q) if p is u else sectional(frame, q, moved))
+                if val < best:
+                    best = val
+                    p[i] = moved[i]
     return sign * best, u, v
 
 
 def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> CurvatureReport:
     if samples < 1:
         raise PreconditionError("samples must be at least 1, got %d" % samples)
+    if samples > MAX_SAMPLES:
+        raise PreconditionError("samples must be at most %d, got %d" % (MAX_SAMPLES, samples))
     frame = frame_matrices(alpha, eps)
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
@@ -412,12 +448,9 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
 
     sec_min, min_u, min_v = extreme(int(np.argmin(k)), True)
     sec_max, max_u, max_v = extreme(int(np.argmax(k)), False)
-    bianchi = 0.0
-    for _ in range(200):
-        x = rng.standard_normal(n1)
-        y = rng.standard_normal(n1)
-        z = rng.standard_normal(n1)
-        bianchi = max(bianchi, bianchi_residual(frame, x, y, z))
+    # one block consumes the stream as 200 sequential x, y, z draws would
+    xyz = rng.standard_normal((200, 3, n1))
+    bianchi = bianchi_residual(frame, xyz[:, 0], xyz[:, 1], xyz[:, 2])
     ratio = sec_min / sec_max if sec_max < 0 else math.inf
     return CurvatureReport(
         eps=frame.eps,

@@ -145,6 +145,9 @@ def test_equal_cdim_search_guards():
         equal_cdim_search(4, 6, 4)
     with pytest.raises(InputError):
         equal_cdim_search(20, 1, 4)
+    # the pair loop is quadratic in p_max * q_max, so q_max is capped like p_max
+    with pytest.raises(InputError, match="q_max must be between 2 and 64, got 65"):
+        equal_cdim_search(5, MAX_BOUND + 1, 1)
 
 
 def test_equal_cdim_search_checks_the_bound_without_a_pair_to_try():

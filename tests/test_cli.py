@@ -301,6 +301,21 @@ def test_buildings_search_checks_the_bound(capsys):
         assert err == "error: bound must be between 1 and 64, got 999\n"
 
 
+def test_buildings_search_caps_q_max(capsys):
+    code, out, err = run_cli(capsys, ["buildings", "--search", "5", "100000", "1"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: q_max must be between 2 and 64, got 100000\n"
+
+
+def test_pinch_caps_the_samples(capsys):
+    code, out, err = run_cli(capsys, ["pinch", "--alpha", "[[1,1],[0,1]]", "--eps", "0.1",
+                                      "--samples", "1000001"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: samples must be at most 1000000, got 1000001\n"
+
+
 def test_buildings_usage_errors(capsys):
     for argv in (
         ["buildings"],

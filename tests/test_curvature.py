@@ -7,6 +7,7 @@ import pytest
 import lie_sbe
 from lie_sbe import catalog, curvature
 from lie_sbe.curvature import (
+    MAX_SAMPLES,
     _plane_curvatures,
     _refine,
     alpha_from_law,
@@ -148,6 +149,12 @@ def test_pinching_needs_a_sample():
             pinching_estimate([[1, 1], [0, 1]], 0.1, samples=samples)
 
 
+def test_pinching_caps_the_samples():
+    # refused before the frame is built or any plane is drawn
+    with pytest.raises(PreconditionError, match="samples must be at most %d" % MAX_SAMPLES):
+        pinching_estimate([[1, 1], [0, 1]], 0.1, samples=MAX_SAMPLES + 1)
+
+
 def test_pansu_consistency_holds_on_jordan():
     p = pansu_consistency([[1, 1], [0, 1]], 0.1, samples=300, seed=3)
     assert p.holds
@@ -250,6 +257,149 @@ def test_constant_curvature_matches_the_reference_loop(alpha):
         assert abs(rep.sec_max - ref["sec_max"]) <= 1e-15
         assert abs(rep.sec_min + 1.0) <= 1e-12
         assert abs(rep.sec_max + 1.0) <= 1e-12
+
+
+# ------------------------------------------ exact line search vs. golden --
+
+BENCH_ALPHAS = {
+    "I2": [[1, 0], [0, 1]],
+    "rot2": [[1, -2], [2, 1]],
+    "rot2+rot3": [[1, -2, 0, 0], [2, 1, 0, 0], [0, 0, 1, -3], [0, 0, 3, 1]],
+    "J2": J2,
+    "J3": J3,
+    "2J2+2": J2_PLUS_2,
+    "1+i*sqrt2": [[1, -1], [2, 1]],
+}
+
+
+def _reference_golden(f, lo, hi, iters=24):
+    """Argmin of f on [lo, hi] by golden-section search."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iters):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
+
+
+def _reference_refine(frame, u, v, minimize, sweeps=3, radius=0.25):
+    """_refine with a golden-section search and a scalar curvature_tensor
+    call per trial point, in place of the exact line search."""
+    n1 = frame.n + 1
+    sign = 1.0 if minimize else -1.0
+    best = sign * sectional(frame, u, v)
+    for sweep in range(sweeps):
+        r = radius / (4.0 ** sweep)
+        for idx in range(2 * n1):
+            def value(t, idx=idx):
+                uu = u.copy()
+                vv = v.copy()
+                if idx < n1:
+                    uu[idx] += t
+                else:
+                    vv[idx - n1] += t
+                den = (uu @ uu) * (vv @ vv) - (uu @ vv) ** 2
+                if den <= 1e-12:
+                    return math.inf
+                return sign * float(
+                    curvature_tensor(frame, uu, vv, vv) @ uu
+                ) / den
+            t = _reference_golden(value, -r, r)
+            val = value(t)
+            if val < best:
+                best = val
+                if idx < n1:
+                    u[idx] += t
+                else:
+                    v[idx - n1] += t
+    return sign * best, u, v
+
+
+@pytest.mark.parametrize("alpha", BENCH_ALPHAS.values(), ids=BENCH_ALPHAS.keys())
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_refined_extremes_match_the_golden_section_reference(alpha, eps):
+    for seed in range(5):
+        start = pinching_estimate(alpha, eps, samples=400, seed=seed, refine_sweeps=0)
+        rep = pinching_estimate(alpha, eps, samples=400, seed=seed)
+        for minimize, pair, value in ((True, start.min_pair, rep.sec_min),
+                                      (False, start.max_pair, rep.sec_max)):
+            u, v = (np.array(x) for x in pair)
+            ref, _, _ = _reference_refine(start.frame, u, v, minimize)
+            assert abs(value - ref) <= 1e-6
+            # the refinement never loses ground on the sampled extreme
+            sampled = start.sec_min if minimize else start.sec_max
+            assert (value <= sampled) if minimize else (value >= sampled)
+
+
+def test_a_step_is_taken_only_if_sectional_improves(monkeypatch):
+    # the closed form finds better planes, but `sectional` reads every moved
+    # pair as no better than the start, so the pair must stay where it is
+    start = pinching_estimate(J3, 1.0, samples=50, seed=2, refine_sweeps=0)
+    u, v = (np.array(x) for x in start.min_pair)
+    monkeypatch.setattr(curvature, "sectional", lambda frame, a, b: 0.5)
+    k, ru, rv = curvature._refine(start.frame, u.copy(), v.copy(), True)
+    assert k == 0.5
+    assert np.array_equal(ru, u) and np.array_equal(rv, v)
+
+
+# ------------------------------------------------- curvature operator --
+
+def _curvature_operator(frame):
+    """The curvature operator on bivectors e_i^e_j (i < j):
+    entry ((i, j), (k, l)) is <R(e_i, e_j)e_l, e_k>, from one stacked call."""
+    e = np.eye(frame.n + 1)
+    pairs = [(i, j) for i in range(frame.n + 1) for j in range(i + 1, frame.n + 1)]
+    ei, ej = e[[i for i, _ in pairs]], e[[j for _, j in pairs]]
+    r = curvature_tensor(frame, ei[:, None], ej[:, None], ej[None, :])
+    return np.sum(r * ei[None, :], axis=-1)
+
+
+@pytest.mark.parametrize("alpha", BENCH_ALPHAS.values(), ids=BENCH_ALPHAS.keys())
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_pinched_range_lies_in_the_curvature_operator_range(alpha, eps):
+    fr = frame_matrices(alpha, eps)
+    op = _curvature_operator(fr)
+    assert np.allclose(op, op.T, atol=1e-12)
+    lam = np.linalg.eigvalsh((op + op.T) / 2.0)
+    for seed in range(5):
+        rep = pinching_estimate(alpha, eps, samples=400, seed=seed)
+        assert lam[0] - 1e-12 <= rep.sec_min <= rep.sec_max <= lam[-1] + 1e-12
+
+
+NORMAL_FRAMES = ["I2", "rot2", "rot2+rot3", "1+i*sqrt2"]
+
+
+@pytest.mark.parametrize("label", NORMAL_FRAMES)
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_normal_frames_with_real_part_one_have_operator_minus_identity(label, eps):
+    fr = frame_matrices(BENCH_ALPHAS[label], eps)
+    assert np.allclose(fr.m @ fr.m.T, fr.m.T @ fr.m, atol=1e-12)
+    op = _curvature_operator(fr)
+    assert np.max(np.abs(op + np.eye(len(op)))) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", BENCH_ALPHAS.values(), ids=BENCH_ALPHAS.keys())
+def test_stacked_curvature_tensor_equals_per_vector_calls(alpha):
+    fr = frame_matrices(alpha, 0.1)
+    xyz = np.random.default_rng(8).standard_normal((30, 3, fr.n + 1))
+    stacked = curvature_tensor(fr, xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    assert stacked.shape == (30, fr.n + 1)
+    for row, (x, y, z) in zip(stacked, xyz):
+        assert np.array_equal(row, curvature_tensor(fr, x, y, z))
+    # one vector broadcast against a stack
+    for row, x in zip(curvature_tensor(fr, xyz[:, 0], xyz[0, 1], xyz[0, 2]), xyz[:, 0]):
+        assert np.array_equal(row, curvature_tensor(fr, x, xyz[0, 1], xyz[0, 2]))
+    total = max(bianchi_residual(fr, x, y, z) for x, y, z in xyz)
+    assert bianchi_residual(fr, xyz[:, 0], xyz[:, 1], xyz[:, 2]) == total
 
 
 FRAMES = [(J2, 0.3), (J3, 0.1), (J2_PLUS_2, 1.0), ([[1, -2], [2, 1]], 0.5),

@@ -9,6 +9,10 @@ JSON cases cover each branch of the payloads.
 Regenerate the files from the current code with
 
     PYTHONPATH=src python tests/test_golden.py
+
+or only some cases, leaving the other files and exit codes as they are, with
+
+    PYTHONPATH=src python tests/test_golden.py readme_pinch pinch_j3
 """
 
 import argparse
@@ -146,15 +150,39 @@ def test_json_goldens_hold_no_nan_or_infinity():
             json.loads((GOLDEN / (name + ".out")).read_text(), parse_constant=_reject_constant)
 
 
-if __name__ == "__main__":
+def test_regenerate_rewrites_only_the_named_cases(tmp_path, monkeypatch):
+    real = GOLDEN
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.delenv("LIE_SBE_CATALOG", raising=False)
+    (tmp_path / "exit_codes.json").write_text(json.dumps({"readme_check": 7, "text_check": 9}))
+    (tmp_path / "text_check.out").write_bytes(b"untouched")
+    regenerate(["readme_check"])
+    assert json.loads((tmp_path / "exit_codes.json").read_text()) == {"readme_check": 0,
+                                                                      "text_check": 9}
+    assert (tmp_path / "readme_check.out").read_bytes() == (real / "readme_check.out").read_bytes()
+    assert (tmp_path / "text_check.out").read_bytes() == b"untouched"
+    with pytest.raises(SystemExit, match="unknown golden case"):
+        regenerate(["readme_check", "no_such_case"])
+
+
+def regenerate(names):
+    """Rewrite golden/<name>.out and the exit code of each named case."""
+    unknown = sorted(set(names) - set(COMMANDS))
+    if unknown:
+        raise SystemExit("unknown golden case(s): %s" % ", ".join(unknown))
     GOLDEN.mkdir(exist_ok=True)
-    codes = {}
-    for name, argv in sorted(COMMANDS.items()):
+    path = GOLDEN / "exit_codes.json"
+    codes = json.loads(path.read_text()) if path.exists() else {}
+    for name in sorted(names):
         if name in WITH_FIXTURE_CATALOG:
             os.environ["LIE_SBE_CATALOG"] = str(FIXTURE_CATALOG)
         else:
             os.environ.pop("LIE_SBE_CATALOG", None)
-        codes[name], out = run_command(argv)
+        codes[name], out = run_command(COMMANDS[name])
         (GOLDEN / (name + ".out")).write_bytes(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    regenerate(sys.argv[1:] or COMMANDS)
     sys.exit(0)
