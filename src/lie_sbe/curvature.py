@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from . import polynomials as poly
-from .errors import PreconditionError
-from .heintze import normalize_derivation
+from .errors import InputError, PreconditionError
 from .laws import LieLaw
 from .linalg import char_poly, identity, mat_mul, mat_sub, mat_add, mat_scale, matrix, rank
 
@@ -72,7 +72,10 @@ def _kernel_dims(power_of, total):
     return dims
 
 
-def _layout_exact(an) -> FrameLayout:
+@lru_cache(maxsize=256)
+def _layout_exact(an: tuple) -> FrameLayout:
+    """Layout of a normalized rational alpha, given as a tuple of Fraction
+    rows; it does not depend on eps, so each alpha is laid out once."""
     n = len(an)
     q = poly.compose_shift(char_poly(an), 1)  # roots shifted by the real part 1
     if not poly.all_roots_imaginary(q):
@@ -180,30 +183,28 @@ def alpha_from_law(law: LieLaw):
 
 
 def frame_matrices(alpha, eps: float) -> Frame:
+    """The eps-frame of alpha scaled so that every real part is 1.
+
+    If the real parts of the spectrum are all equal, each one is the mean
+    m = tr(alpha)/n; the layout of alpha/m then checks that they are.  m is
+    exact for rational input and a float for float input.
+    """
     if not (eps > 0 and math.isfinite(eps)):
         raise PreconditionError("eps must be positive and finite, got %r" % (eps,))
     try:
-        an_exact = matrix(alpha)
-        nd = normalize_derivation(an_exact)
-        exact_path = nd.exact
+        a = matrix(alpha)
     except TypeError:
-        af = np.array(alpha, dtype=float)
-        eigs = np.linalg.eigvals(af)
-        m0 = min(z.real for z in eigs)
-        if m0 <= 1e-9:
-            raise PreconditionError("spectrum is not in the open right half-plane")
-        nd = None
-        an_norm = af / m0
-        exact_path = False
-    if nd is not None:
-        if exact_path:
-            layout = _layout_exact([list(r) for r in nd.matrix])
-        else:
-            an_norm = np.array([[float(x) for x in row] for row in nd.matrix])
-            layout = _layout_numeric(an_norm, len(nd.matrix))
+        a = np.array(alpha, dtype=float)
+    n = len(a)
+    if n == 0 or any(len(row) != n for row in a):
+        raise InputError("alpha must be a nonempty square matrix")
+    mean = sum(a[i][i] for i in range(n)) / n
+    if mean <= 0:
+        raise PreconditionError("the mean real part of the spectrum is %s, need it positive" % mean)
+    if isinstance(a, np.ndarray):
+        layout = _layout_numeric(a / mean, n)
     else:
-        layout = _layout_numeric(an_norm, an_norm.shape[0])
-    n = layout.size
+        layout = _layout_exact(tuple(tuple(x / mean for x in row) for row in a))
     blocks = []
     for tau, d in sorted((b for b in layout.complex_blocks if b[1] >= 2),
                          key=lambda b: (-b[1], b[0])):
@@ -231,7 +232,7 @@ def frame_matrices(alpha, eps: float) -> Frame:
         m[off:off + k, off:off + k] = blk
         off += k
     if off != n:
-        raise PreconditionError("layout does not fill the space")  # pragma: no cover
+        raise PreconditionError("layout does not fill the space")
     d_sym = (m + m.T) / 2.0
     s_skew = (m - m.T) / 2.0
     nmat = d_sym @ d_sym + d_sym @ s_skew - s_skew @ d_sym

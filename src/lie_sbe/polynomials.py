@@ -191,63 +191,62 @@ def is_squarefree(p) -> bool:
     return degree(gcd(p, derivative(p))) == 0
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _integral(p) -> list:
+    """p times the lcm of its denominators: int coefficients, the same signs."""
+    den = math.lcm(*(c.denominator for c in p))
+    return [int(c * den) for c in p]
+
+
+def _horner(coeffs, x):
+    out = 0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 def rational_roots(p) -> list:
     """Rational roots with multiplicities, as sorted (root, multiplicity) pairs.
 
-    Candidates come from the integer-cleared polynomial; each found root is
-    deflated out before continuing, so multiplicities are exact.
+    With the squarefree part cleared to integer coefficients c_0..c_d, the
+    substitution x = y / c_d makes g(y) = c_d^(d-1) f(y / c_d) monic over the
+    integers, so its rational roots are integers, all inside the Cauchy bound.
+    Sturm counts bisect that range down to unit intervals (lo, lo + 1], about
+    log2 of the bound steps per real root, and each root is read off at the
+    right end.  A root's multiplicity is the number of derivatives of p that
+    vanish there.
     """
     p = normalize(p)
     if degree(p) <= 0:
         return []
-    den = math.lcm(*(c.denominator for c in p))
-    ip = [int(c * den) for c in p]
-    roots = {}
-    # strip the root at zero first
-    while ip and ip[0] == 0:
-        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-        ip = ip[1:]
-    work = normalize([Fraction(c) for c in ip])
-    cont = math.gcd(*(abs(int(c)) for c in work)) if work else 1
-    if cont > 1:
-        work = [c / cont for c in work]
-    while degree(work) >= 1:
-        a0 = int(work[0])
-        an = int(work[-1])
-        found = None
-        for num in _divisors(a0):
-            for dnm in _divisors(an):
-                for s in (1, -1):
-                    cand = Fraction(s * num, dnm)
-                    if evaluate(work, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
-        if found is None:
-            break
-        roots[found] = roots.get(found, 0) + 1
-        work, rem = divmod_poly(work, [-found, Fraction(1)])
-        assert is_zero(rem)
-        # keep coefficients integral for the divisor search
-        d2 = math.lcm(*(c.denominator for c in work)) if work else 1
-        work = [c * d2 for c in work]
-        work = normalize(work)
-    return sorted(roots.items())
+    c = _integral(squarefree_part(p))
+    d, lead = len(c) - 1, c[-1]
+    g = [Fraction(c[i] * lead ** (d - 1 - i)) for i in range(d)] + [Fraction(1)]
+    bound = 1 + max(abs(x) for x in g)        # every root has |y| < bound
+    seq = [_integral(q) for q in sturm_sequence(g)]
+
+    def variations(y):
+        return _sign_changes([_horner(q, y) for q in seq])
+
+    found = []
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, vlo, vhi = stack.pop()        # vlo - vhi roots in (lo, hi]
+        if vlo == vhi:
+            continue
+        if hi - lo == 1:
+            if _horner(seq[0], hi) == 0:
+                found.append(Fraction(hi, lead))
+            continue
+        mid = (lo + hi) // 2
+        vmid = variations(mid)
+        stack += [(lo, mid, vlo, vmid), (mid, hi, vmid, vhi)]
+    out = []
+    for r in sorted(found):
+        mult, q = 1, derivative(p)
+        while evaluate(q, r) == 0:
+            mult, q = mult + 1, derivative(q)
+        out.append((r, mult))
+    return out
 
 
 def splits_over_q(p) -> bool:

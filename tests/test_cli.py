@@ -220,6 +220,17 @@ def test_pinch(capsys):
     assert payload["pansu"]["holds"] is True
 
 
+def test_pinch_with_tied_real_parts(capsys):
+    # real part 1 on a real pair and a complex pair: constant curvature -1
+    code, payload, _ = run_json(
+        capsys,
+        ["pinch", "--alpha", "[[1,0,0,0],[0,1,0,0],[0,0,1,-2],[0,0,2,1]]", "--eps", "0.1",
+         "--samples", "200", "--pansu"])
+    assert code == 0
+    assert abs(payload["sec_min"] + 1.0) < 1e-9 and abs(payload["sec_max"] + 1.0) < 1e-9
+    assert payload["pansu"]["trace"] == 4.0 and payload["pansu"]["holds"] is True
+
+
 def _reject_constant(name):
     raise ValueError("%s is not JSON" % name)
 

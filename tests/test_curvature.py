@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -18,8 +19,9 @@ from lie_sbe.curvature import (
     pinching_estimate,
     sectional,
 )
-from lie_sbe.errors import PreconditionError
+from lie_sbe.errors import InputError, PreconditionError
 from lie_sbe.laws import LieLaw
+from lie_sbe.linalg import inverse, mat_mul, matrix
 
 
 def test_alpha_from_law_splits_the_last_coordinate():
@@ -66,12 +68,12 @@ def test_frame_jordan_block_carries_eps():
     assert np.allclose(fr.s, (fr.m - fr.m.T) / 2.0)
 
 
-def test_frame_rotation_pair_goes_numeric():
+def test_frame_rotation_pair_is_exact():
     fr = frame_matrices([[1, 2], [-2, 1]], 0.5)
-    assert not fr.layout.exact
+    assert fr.layout.exact
     assert fr.layout.real_blocks == ()
     ((tau, d),) = fr.layout.complex_blocks
-    assert d == 1 and abs(tau - 2.0) < 1e-9
+    assert d == 1 and tau == 2.0
 
 
 def test_frame_mixed_real_and_rotation():
@@ -89,6 +91,49 @@ def test_frame_rejects_bad_inputs():
         frame_matrices([[1, 0], [0, 1]], 0.0)
     with pytest.raises(PreconditionError):
         frame_matrices([[-1, 0], [0, -1]], 0.5)
+
+
+TIES = {
+    "I2+rot2": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]],
+    "rot2+rot2": [[1, -2, 0, 0], [2, 1, 0, 0], [0, 0, 1, -2], [0, 0, 2, 1]],
+}
+
+
+@pytest.mark.parametrize("label", TIES)
+@pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
+def test_tied_real_parts_give_minus_one(label, eps):
+    # real part 1 throughout, with no real eigenvalue or a repeated complex
+    # pair there: the frame is normal, so every plane has curvature -1
+    rep = pinching_estimate(TIES[label], eps, samples=500, seed=3)
+    assert rep.frame.layout.exact
+    assert abs(rep.sec_min + 1.0) <= 1e-9 and abs(rep.sec_max + 1.0) <= 1e-9
+
+
+def test_huge_rotation_is_exact():
+    # the characteristic polynomial's constant term is 10^16 + 1; a divisor
+    # search for the rational roots of y + 10^16 would take seconds
+    rep = pinching_estimate([[1, -10 ** 8], [10 ** 8, 1]], 0.1, samples=200)
+    assert rep.frame.layout.exact
+    assert rep.frame.layout.complex_blocks == ((1e8, 1),)
+    assert abs(rep.sec_min + 1.0) <= 1e-9 and abs(rep.sec_max + 1.0) <= 1e-9
+
+
+def test_frame_rejects_a_jordan_block_next_to_a_larger_real_part():
+    # the mean real part 4/3 is no eigenvalue, so alpha / m has real parts 3/4, 3/2
+    with pytest.raises(PreconditionError, match="uneven real parts"):
+        frame_matrices([[1, 1, 0], [0, 1, 0], [0, 0, 2]], 0.5)
+    with pytest.raises(PreconditionError, match="uneven real parts"):
+        frame_matrices([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]], 0.5)
+
+
+def test_frame_rejects_a_nonpositive_mean_real_part():
+    for alpha in ([[-3, 0], [0, 1]], [[-1.0, 0.0], [0.0, 1.0]], [[0, 1], [-1, 0]]):
+        with pytest.raises(PreconditionError, match="mean real part"):
+            frame_matrices(alpha, 0.5)
+    with pytest.raises(InputError):
+        frame_matrices([], 0.5)
+    with pytest.raises(InputError):
+        frame_matrices([[1, 0, 0], [0, 1, 0]], 0.5)
 
 
 def test_sectional_is_minus_one_for_identity_alpha():
@@ -400,6 +445,90 @@ def test_stacked_curvature_tensor_equals_per_vector_calls(alpha):
         assert np.array_equal(row, curvature_tensor(fr, x, xyz[0, 1], xyz[0, 2]))
     total = max(bianchi_residual(fr, x, y, z) for x, y, z in xyz)
     assert bianchi_residual(fr, xyz[:, 0], xyz[:, 1], xyz[:, 2]) == total
+
+
+# ------------------------------------------------------ frame layout oracles --
+
+PINCH_ALPHAS = {**BENCH_ALPHAS, **TIES}
+
+
+def _mean_normalized(alpha):
+    a = matrix(alpha)
+    mean = sum(a[i][i] for i in range(len(a))) / len(a)
+    return tuple(tuple(x / mean for x in row) for row in a), mean
+
+
+def _same_layout(a, b):
+    # the frame orders the complex blocks itself, so the layouts' order is free
+    assert (a.size, a.real_blocks) == (b.size, b.real_blocks)
+    ca = sorted(a.complex_blocks, key=lambda t: t[::-1])
+    cb = sorted(b.complex_blocks, key=lambda t: t[::-1])
+    assert [d for _, d in ca] == [d for _, d in cb]
+    for (ta, _), (tb, _) in zip(ca, cb):
+        assert abs(ta - tb) <= 1e-9 * max(1.0, tb)
+
+
+def _unimodular(rng, n, shears=3):
+    """(P, P^-1) for a signed permutation followed by elementary shears."""
+    perm = rng.sample(range(n), n)
+    p = [[rng.choice((1, -1)) if perm[r] == c else 0 for c in range(n)] for r in range(n)]
+    for _ in range(shears):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(r == c) + (rng.choice((1, -1)) if (r, c) == (i, j) else 0)
+              for c in range(n)] for r in range(n)]
+        p = mat_mul(p, e)
+    p = matrix(p)
+    return p, inverse(p)
+
+
+@pytest.mark.parametrize("label", PINCH_ALPHAS)
+def test_exact_layout_equals_the_numeric_layout(label):
+    an, _ = _mean_normalized(PINCH_ALPHAS[label])
+    af = np.array([[float(x) for x in row] for row in an])
+    _same_layout(curvature._layout_exact(an), curvature._layout_numeric(af, len(an)))
+
+
+@pytest.mark.parametrize("label", PINCH_ALPHAS)
+def test_layout_and_mean_survive_unimodular_conjugation(label):
+    alpha = PINCH_ALPHAS[label]
+    _, mean = _mean_normalized(alpha)
+    fr = frame_matrices(alpha, 0.1)
+    rng = random.Random(label)
+    for _ in range(3):
+        p, p_inv = _unimodular(rng, len(alpha))
+        conj = mat_mul(mat_mul(p, matrix(alpha)), p_inv)
+        _, conj_mean = _mean_normalized(conj)
+        assert conj_mean == mean
+        conj_fr = frame_matrices(conj, 0.1)
+        assert conj_fr.layout.exact == fr.layout.exact
+        _same_layout(conj_fr.layout, fr.layout)
+        assert np.allclose(conj_fr.m, fr.m, rtol=0, atol=1e-9)
+
+
+def test_mean_real_part_matches_numpy_eigenvalues():
+    # block diagonal with one real part c (scalars and rotations by b),
+    # carried to a random basis by a unimodular P
+    rng = random.Random(14)
+    for _ in range(60):
+        c = rng.randint(1, 4)
+        blocks = [[[c]] if rng.random() < 0.4 else [[c, -b], [b, c]]
+                  for b in (rng.randint(1, 6) for _ in range(rng.randint(1, 3)))]
+        n = sum(len(b) for b in blocks)
+        if n < 2:
+            continue
+        diag = [[0] * n for _ in range(n)]
+        off = 0
+        for b in blocks:
+            for i, row in enumerate(b):
+                diag[off + i][off:off + len(row)] = row
+            off += len(b)
+        p, p_inv = _unimodular(rng, n)
+        alpha = mat_mul(mat_mul(p, matrix(diag)), p_inv)
+        _, mean = _mean_normalized(alpha)
+        eigs = np.linalg.eigvals(np.array([[float(x) for x in row] for row in alpha]))
+        assert mean == c
+        assert max(abs(z.real - float(mean)) for z in eigs) <= 1e-9
+        assert frame_matrices(alpha, 0.5).layout.exact
 
 
 FRAMES = [(J2, 0.3), (J3, 0.1), (J2_PLUS_2, 1.0), ([[1, -2], [2, 1]], 0.5),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -56,6 +57,70 @@ def test_rational_roots_with_multiplicity():
     ]
     assert poly.splits_over_q(p)
     assert not poly.splits_over_q(_p(-2, 0, 1))  # x^2 - 2
+
+
+def _reference_divisors(n):
+    n = abs(n)
+    out = set()
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.add(d)
+            out.add(n // d)
+        d += 1
+    return sorted(out)
+
+
+def _reference_rational_roots(p):
+    """The former divisor search: every num/den with num | a_0, den | a_n,
+    deflating each root found.  Exponential in the size of the coefficients."""
+    p = poly.normalize(p)
+    if poly.degree(p) <= 0:
+        return []
+    den = math.lcm(*(c.denominator for c in p))
+    ip = [int(c * den) for c in p]
+    roots = {}
+    while ip and ip[0] == 0:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        ip = ip[1:]
+    work = poly.normalize([Fraction(c) for c in ip])
+    cont = math.gcd(*(abs(int(c)) for c in work)) if work else 1
+    if cont > 1:
+        work = [c / cont for c in work]
+    while poly.degree(work) >= 1:
+        found = next((Fraction(s * num, dnm)
+                      for num in _reference_divisors(int(work[0]))
+                      for dnm in _reference_divisors(int(work[-1]))
+                      for s in (1, -1)
+                      if poly.evaluate(work, Fraction(s * num, dnm)) == 0), None)
+        if found is None:
+            break
+        roots[found] = roots.get(found, 0) + 1
+        work, rem = poly.divmod_poly(work, [-found, Fraction(1)])
+        assert poly.is_zero(rem)
+        d2 = math.lcm(*(c.denominator for c in work)) if work else 1
+        work = poly.normalize([c * d2 for c in work])
+    return sorted(roots.items())
+
+
+def test_rational_roots_match_the_divisor_search():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = _p(Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 4)):
+            p = poly.mul(p, _p(Fraction(rng.randint(-6, 6), rng.randint(1, 4)), rng.randint(1, 5)))
+        if rng.random() < 0.5:
+            p = poly.mul(p, _p(rng.randint(-5, 5), rng.randint(-3, 3), rng.randint(1, 3)))
+        assert poly.rational_roots(p) == _reference_rational_roots(p)
+
+
+def test_rational_roots_with_huge_coefficients():
+    # a divisor search tries every d <= sqrt(|a_0|): about 10^12 steps here
+    assert poly.rational_roots(_p(1 + 10 ** 24, -2, 1)) == []
+    big = Fraction(10 ** 12, 7)
+    p = poly.mul(poly.mul(_p(-big, 1), _p(-big, 1)), _p(10 ** 12 + 1, 3))
+    assert poly.rational_roots(p) == [(Fraction(-(10 ** 12 + 1), 3), 1), (big, 2)]
+    assert poly.rational_roots(_p(10 ** 16, 1)) == [(Fraction(-(10 ** 16)), 1)]
 
 
 def test_squarefree_and_gcd():
