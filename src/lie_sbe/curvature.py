@@ -137,7 +137,7 @@ def _layout_numeric(af, n, real_blocks=None, certified=False) -> FrameLayout:
             clusters.append([t])
     complex_blocks = []
     for group in clusters:
-        tau = sum(group) / len(group)
+        tau = float(sum(group) / len(group))  # a Python float, not a numpy scalar
         b = af @ af - 2.0 * af + (1.0 + tau * tau) * np.eye(n)
         dims = _numeric_kernel_dims(b, 2 * len(group))
         for d in _sizes_from_kernel_dims(dims, step=2):

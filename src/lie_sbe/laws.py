@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import polynomials as poly
 from .errors import InputError, PreconditionError
 from .linalg import (
+    _ZERO,
     Mat,
     Subspace,
     Vec,
@@ -110,14 +111,23 @@ class LieLaw:
         return out
 
     def bracket(self, x, y) -> Vec:
+        """[x, y] as a dense vector; only nonzero coordinates are multiplied."""
         x, y = vector(x), vector(y)
-        out = zero_vec(self.dim)
+        if len(x) != self.dim or len(y) != self.dim:
+            raise InputError("bracket of vectors of length %d and %d in dimension %d"
+                             % (len(x), len(y), self.dim))
+        out = [_ZERO] * self.dim
         for (i, j), targets in self.table.items():
-            coef = x[i] * y[j] - x[j] * y[i]
-            if coef == 0:
+            xi, yj, xj, yi = x[i], y[j], x[j], y[i]
+            if xi and yj:
+                coef = xi * yj - xj * yi if xj and yi else xi * yj
+            elif xj and yi:
+                coef = -(xj * yi)
+            else:
                 continue
-            for k, c in targets.items():
-                out[k] += coef * c
+            if coef:
+                for k, c in targets.items():
+                    out[k] += coef * c
         return out
 
     def ad(self, v) -> Mat:
@@ -200,7 +210,12 @@ def law_in_basis(law: LieLaw, cols: Mat, basis=None) -> LieLaw:
 
 
 def bracket_subspaces(law: LieLaw, a: Subspace, b: Subspace) -> Subspace:
-    vecs = [law.bracket(u, v) for u in a.basis() for v in b.basis()]
+    """[a, b]; for a == b each unordered pair once, as [v, u] = -[u, v]."""
+    us = a.basis()
+    if a == b:
+        vecs = [law.bracket(u, v) for u, v in itertools.combinations(us, 2)]
+    else:
+        vecs = [law.bracket(u, v) for u in us for v in b.basis()]
     return Subspace.span(law.dim, vecs)
 
 
@@ -272,33 +287,42 @@ class DerivationData:
     outer_dim: int
 
 
+def _derivation_rows(law: LieLaw) -> list:
+    """The equations D[e_i,e_j] - [De_i,e_j] - [e_i,De_j] = 0, coordinate m,
+    for i < j and then m ascending, as {column: value} rows without zeros.
+
+    Unknowns are the n^2 entries of D, row-major; the n^2 basis brackets are
+    taken once from the table, as sparse {k: c} maps.
+    """
+    n = law.dim
+    br = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, j), targets in law.table.items():
+        br[i][j] = targets
+        br[j][i] = {k: -c for k, c in targets.items()}
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            # D applied to [e_i, e_j], coordinate m
+            eqs = [{m * n + k: c for k, c in br[i][j].items()} for m in range(n)]
+            # -[D e_i, e_j]_m - [e_i, D e_j]_m: D e_i = sum_r D[r][i] e_r
+            for r in range(n):
+                for col, terms in ((r * n + i, br[r][j]), (r * n + j, br[i][r])):
+                    for m, c in terms.items():
+                        eqs[m][col] = eqs[m].get(col, _ZERO) - c
+            for eq in eqs:
+                row = {col: c for col, c in eq.items() if c}
+                if row:
+                    rows.append(row)
+    return rows
+
+
 def derivations(law: LieLaw) -> DerivationData:
     """Solve D[x,y] = [Dx,y] + [x,Dy] on basis brackets.
 
     Unknowns are the n^2 entries of D, row-major.
     """
     n = law.dim
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            cij = law.bracket_basis(i, j)
-            for m in range(n):
-                row = [Fraction(0)] * (n * n)
-                # D applied to [e_i, e_j], coordinate m
-                for k, c in enumerate(cij):
-                    if c != 0:
-                        row[m * n + k] += c
-                # -[D e_i, e_j]_m: D e_i = sum_r D[r][i] e_r
-                for r in range(n):
-                    c1 = law.bracket_basis(r, j)[m]
-                    if c1 != 0:
-                        row[r * n + i] -= c1
-                    c2 = law.bracket_basis(i, r)[m]
-                    if c2 != 0:
-                        row[r * n + j] -= c2
-                if any(x != 0 for x in row):
-                    rows.append(row)
-    kernel = nullspace(rows, cols=n * n)
+    kernel = nullspace(_derivation_rows(law), cols=n * n)
     ders = tuple(
         tuple(tuple(v[r * n + c] for c in range(n)) for r in range(n)) for v in kernel
     )

@@ -52,12 +52,39 @@ def transpose(m: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """a b, multiplying only nonzero entries of a by nonzero entries of b."""
+    k = len(b)
+    width = len(b[0]) if b else 0
+    if any(len(row) != k for row in a) or any(len(row) != width for row in b):
+        raise ValueError("cannot multiply: every row of a needs length %d and every row "
+                         "of b length %d" % (k, width))
+    b_nz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [_ZERO] * width
+        for x, nz in zip(row, b_nz):
+            if x:
+                for j, y in nz:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    """a v, multiplying only nonzero entries of a by nonzero entries of v."""
+    n = len(v)
+    if any(len(row) != n for row in a):
+        raise ValueError("cannot apply: a needs rows of length %d" % n)
+    v_nz = [(k, x) for k, x in enumerate(v) if x]
+    out = []
+    for row in a:
+        acc = _ZERO
+        for k, x in v_nz:
+            y = row[k]
+            if y:
+                acc += y * x
+        out.append(acc)
+    return out
 
 
 def mat_add(a: Mat, b: Mat) -> Mat:

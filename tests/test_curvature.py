@@ -76,6 +76,19 @@ def test_frame_rotation_pair_is_exact():
     assert d == 1 and tau == 2.0
 
 
+def test_numeric_layout_stores_python_floats():
+    rot23 = [[1.0, -2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0],
+             [0.0, 0.0, 1.0, -3.0], [0.0, 0.0, 3.0, 1.0]]
+    # I + the companion matrix of x^4 + 4x^2 + 2: tau^2 = 2 -+ sqrt(2) is irrational
+    irrational = [[1, 0, 0, -2], [1, 1, 0, 0], [0, 1, 1, -4], [0, 0, 1, 1]]
+    for alpha, taus in ((rot23, [2.0, 3.0]),
+                        (irrational, [math.sqrt(2 - math.sqrt(2)), math.sqrt(2 + math.sqrt(2))])):
+        blocks = frame_matrices(alpha, 0.5).layout.complex_blocks
+        assert all(type(tau) is float for tau, _ in blocks)
+        assert [d for _, d in blocks] == [1, 1]
+        assert all(abs(tau - want) < 1e-9 for (tau, _), want in zip(blocks, taus))
+
+
 def test_frame_mixed_real_and_rotation():
     fr = frame_matrices([[1, 0, 0], [0, 1, 2], [0, -2, 1]], 0.5)
     assert fr.layout.real_blocks == (1,)

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lie_sbe import (
     InputError,
@@ -31,7 +34,9 @@ from lie_sbe import (
     spectral_summary,
     subalgebra_law,
 )
-from lie_sbe.linalg import Subspace, det, identity, matrix
+from lie_sbe.heintze import classify_hyperbolic
+from lie_sbe.laws import _derivation_rows, bracket_subspaces, derived_algebra
+from lie_sbe.linalg import Subspace, det, identity, matrix, zero_vec
 
 
 def _rand_invertible(rng, n):
@@ -239,3 +244,186 @@ def test_fingerprint_values_on_l6():
     fp7 = fingerprint(catalog("l_6_7"))
     assert fp7.outer_dim == 9
     assert fp7.center_dim == 2
+
+
+# Reference kernels: LieLaw.bracket, the derivation system and
+# bracket_subspaces as they were before they skipped zero products.
+
+
+def _reference_bracket(law, x, y):
+    x, y = [Fraction(c) for c in x], [Fraction(c) for c in y]
+    out = zero_vec(law.dim)
+    for (i, j), targets in law.table.items():
+        coef = x[i] * y[j] - x[j] * y[i]
+        if coef == 0:
+            continue
+        for k, c in targets.items():
+            out[k] += coef * c
+    return out
+
+
+def _reference_derivation_rows(law):
+    n = law.dim
+    rows = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            cij = law.bracket_basis(i, j)
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k, c in enumerate(cij):
+                    if c != 0:
+                        row[m * n + k] += c
+                for r in range(n):
+                    c1 = law.bracket_basis(r, j)[m]
+                    if c1 != 0:
+                        row[r * n + i] -= c1
+                    c2 = law.bracket_basis(i, r)[m]
+                    if c2 != 0:
+                        row[r * n + j] -= c2
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    return rows
+
+
+def _reference_bracket_subspaces(law, a, b):
+    vecs = [_reference_bracket(law, u, v) for u in a.basis() for v in b.basis()]
+    return Subspace.span(law.dim, vecs)
+
+
+def _unimodular(rng, n):
+    """A random signed permutation followed by four elementary column shears."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    q = [[Fraction(rng.choice((1, -1)) if perm[a] == m else 0) for a in range(n)]
+         for m in range(n)]
+    for _ in range(4 if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        for row in q:
+            row[j] += s * row[i]
+    return q
+
+
+def _catalog_in_three_bases():
+    rng = random.Random(15)
+    for name in catalog_names():
+        law = catalog(name)
+        yield name, law
+        for _ in range(3):
+            yield name, basis_change(law, _unimodular(rng, law.dim))
+
+
+def _sparse_vector(rng, n):
+    zero_share = rng.choice((0.0, 0.4, 0.8))
+    fractions = rng.random() < 0.5
+    out = []
+    for _ in range(n):
+        if rng.random() < zero_share:
+            out.append(0)
+        else:
+            x = rng.choice((-3, -2, -1, 1, 2, 5))
+            out.append(Fraction(x, rng.randint(1, 4)) if fractions else x)
+    return out
+
+
+def _is_fraction_vector(v):
+    return all(type(x) is Fraction for x in v)
+
+
+def test_bracket_matches_the_dense_reference():
+    rng = random.Random(16)
+    for name, law in _catalog_in_three_bases():
+        n = law.dim
+        e = identity(n)
+        pairs = [(e[i], e[j]) for i in range(n) for j in range(n)]
+        pairs += [(_sparse_vector(rng, n), _sparse_vector(rng, n)) for _ in range(12)]
+        for x, y in pairs:
+            got = law.bracket(x, y)
+            assert got == _reference_bracket(law, x, y), name
+            assert len(got) == n and _is_fraction_vector(got), name
+
+
+def test_derivation_rows_match_the_dense_reference():
+    for name, law in _catalog_in_three_bases():
+        width = law.dim * law.dim
+        got = _derivation_rows(law)
+        assert all(row and all(type(c) is Fraction and c != 0 for c in row.values())
+                   for row in got), name
+        dense = [[row.get(col, Fraction(0)) for col in range(width)] for row in got]
+        assert dense == _reference_derivation_rows(law), name
+
+
+def test_bracket_subspaces_match_the_dense_reference():
+    rng = random.Random(17)
+    for name, law in _catalog_in_three_bases():
+        n = law.dim
+        full = Subspace.full(n)
+        der = derived_algebra(law)
+        some = Subspace.span(n, [_sparse_vector(rng, n) for _ in range(2)])
+        for a, b in ((full, full), (der, der), (full, der), (der, full), (some, some),
+                     (some, der)):
+            got = bracket_subspaces(law, a, b)
+            assert got == _reference_bracket_subspaces(law, a, b), name
+            assert all(_is_fraction_vector(row) for row in got.rows), name
+
+
+def test_bracket_rejects_a_length_other_than_dim():
+    law = catalog("heis(3)")
+    with pytest.raises(InputError):
+        law.bracket([1, 0, 0, 5], [0, 1, 0, 7])
+    with pytest.raises(InputError):
+        law.bracket([1, 0], [0, 1, 0])
+    assert law.bracket([1, 0, 0], [0, 1, 0]) == [0, 0, 1]
+
+
+# Basis invariance: none of these numbers may move under an invertible integer
+# change of basis of a catalog law.
+
+
+@st.composite
+def _catalog_law_and_basis_change(draw):
+    """A catalog name and an invertible integer matrix: a signed permutation,
+    then up to five column shears, then one column scaled by 1, 2 or 3."""
+    name = draw(st.sampled_from(catalog_names()))
+    n = catalog(name).dim
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    q = [[Fraction(signs[a] if perm[a] == m else 0) for a in range(n)] for m in range(n)]
+    index = st.integers(0, n - 1)
+    for i, j, s in draw(st.lists(st.tuples(index, index, st.sampled_from((-2, -1, 1, 2))),
+                                 max_size=5)):
+        if i != j:
+            for row in q:
+                row[j] += s * row[i]
+    col, scale = draw(index), draw(st.sampled_from((1, 2, 3)))
+    for row in q:
+        row[col] *= scale
+    return name, q
+
+
+def _basis_free_numbers(law):
+    der = derivations(law)
+    verdict = classify_hyperbolic(law)
+    return (
+        der.der_dim,
+        der.inner_dim,
+        center(law).dim,
+        tuple(s.dim for s in derived_series(law)),
+        tuple(s.dim for s in lower_central_series(law)),
+        is_completely_solvable(law),
+        (verdict.target, verdict.n, verdict.commable_to),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_numbers(name):
+    return _basis_free_numbers(catalog(name))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_catalog_law_and_basis_change())
+def test_basis_free_numbers_do_not_move(case):
+    name, q = case
+    assert det(q) != 0
+    moved = basis_change(catalog(name), q)
+    assert _basis_free_numbers(moved) == _catalog_numbers(name), name

@@ -465,3 +465,69 @@ def test_block_diag_and_gram():
     g = gram_matrix([vector([1, 0]), vector([1, 1])])
     assert g == matrix([[1, 1], [1, 2]])
     assert transpose(g) == g
+
+
+# Reference products: the dense sums that mat_mul and mat_vec were before
+# they skipped zero factors.
+
+
+def _reference_mat_mul(a, b):
+    bt = transpose(b)
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _reference_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def _sparse_entries(rng, count, zero_share, fractions):
+    out = []
+    for _ in range(count):
+        if rng.random() < zero_share:
+            out.append(Fraction(0) if fractions else 0)
+        else:
+            x = rng.choice((-5, -3, -2, -1, 1, 2, 4, 7))
+            out.append(Fraction(x, rng.randint(1, 6)) if fractions else x)
+    return out
+
+
+def _sparse_rows(rng, r, c, zero_share, fractions):
+    return [_sparse_entries(rng, c, zero_share, fractions) for _ in range(r)]
+
+
+def _all_fractions(entries):
+    return all(type(x) is Fraction for x in entries)
+
+
+def test_products_match_the_dense_references():
+    rng = random.Random(15)
+    shapes = [(1, 1, 1), (1, 5, 1), (5, 1, 5), (1, 4, 6), (6, 4, 1), (3, 3, 3), (4, 6, 2)]
+    for trial in range(600):
+        zero_share = (0.0, 0.3, 0.5, 0.7, 0.9)[trial % 5]
+        fractions = trial % 2 == 0
+        r, k, c = shapes[trial % len(shapes)] if trial < 100 else (
+            rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6))
+        a = _sparse_rows(rng, r, k, zero_share, fractions)
+        b = _sparse_rows(rng, k, c, zero_share, fractions)
+        v = _sparse_entries(rng, k, zero_share, fractions)
+        got = mat_mul(a, b)
+        assert got == _reference_mat_mul(a, b)
+        assert len(got) == r and all(len(row) == c for row in got)
+        assert all(_all_fractions(row) for row in got)
+        got_v = mat_vec(a, v)
+        assert got_v == _reference_mat_vec(a, v)
+        assert len(got_v) == r and _all_fractions(got_v)
+
+
+def test_mat_vec_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        mat_vec([[1, 2], [3, 4]], [1, 1, 1])
+    with pytest.raises(ValueError):
+        mat_vec([[1, 2], [3, 4, 5]], [1, 1])
+
+
+def test_mat_mul_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1], [1], [1]])
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[1, 0], [1]])
