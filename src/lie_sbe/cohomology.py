@@ -22,7 +22,7 @@ from functools import lru_cache
 
 from .errors import InputError, PreconditionError
 from .laws import LieLaw
-from .linalg import Subspace, independent, rank, solve, transpose, zero_vec
+from .linalg import _ZERO, Subspace, independent, rank, solve, transpose, zero_vec
 from . import linalg
 
 
@@ -123,19 +123,111 @@ class Differential:
         return out
 
 
-def _build_differential(law: LieLaw, q: int, module: str) -> Differential:
+def _weights(law: LieLaw):
+    """Integer weights of the basis under every e_x whose ad is diagonal.
+
+    e_x qualifies when each [e_x, e_k] lies in Q e_k, at least one such
+    eigenvalue is nonzero, and ad(e_x) is a derivation of the table (every
+    [e_i, e_j] lies in the eigenvalue-(l_i + l_j) space; Jacobi implies it).
+    Each qualifying x gives the eigenvalues l_k scaled by the lcm of their
+    denominators.  Returns one tuple per basis index, with one entry per
+    qualifying x, or None when no e_x qualifies.
+    """
+    n, table = law.dim, law.table
+    eig = [[_ZERO] * n for _ in range(n)]      # eig[x][k]: [e_x, e_k] = eig * e_k
+    diagonal = [False] * n                     # x appears in the table, always diagonally
+    broken = [False] * n
+    for (i, j), targets in table.items():
+        for x, k in ((i, j), (j, i)):
+            c = targets.get(k)
+            if c is not None and len(targets) == 1:
+                eig[x][k] = c if x == i else -c
+                diagonal[x] = True
+            else:
+                broken[x] = True
+    cols = []
+    for x in range(n):
+        if not diagonal[x] or broken[x]:
+            continue
+        lam = eig[x]
+        if all(lam[m] == lam[i] + lam[j] for (i, j), targets in table.items() for m in targets):
+            scale = math.lcm(*(c.denominator for c in lam))
+            cols.append([int(c * scale) for c in lam])
+    return tuple(zip(*cols)) if cols else None
+
+
+def _weight0_subsets(weights, q: int, target) -> list:
+    """The q-subsets S of the basis with sum_{i in S} weights[i] == target.
+
+    Indices are grouped by weight, and the walk picks how many indices each
+    group gives; a count is kept only if the groups after it can still reach
+    the target with the indices left, coordinate by coordinate.
+    """
+    by_weight = {}
+    for i, w in enumerate(weights):
+        by_weight.setdefault(w, []).append(i)
+    groups = sorted(by_weight.items())
+    dims = range(len(target))
+    # lo/hi[g][j][r]: least / greatest sum of coordinate j over r indices of groups g..
+    lo, hi = [], []
+    for g in range(len(groups) + 1):
+        rest = [w for w, idx in groups[g:] for _ in idx]
+        lo_g, hi_g = [], []
+        for j in dims:
+            vals = sorted(w[j] for w in rest)
+            lo_g.append(list(itertools.accumulate(vals, initial=0)))
+            hi_g.append(list(itertools.accumulate(reversed(vals), initial=0)))
+        lo.append(lo_g)
+        hi.append(hi_g)
+    counts = []
+
+    def walk(g, left, need, chosen):
+        if g == len(groups):
+            counts.append(chosen)
+            return
+        w, idx = groups[g]
+        for c in range(min(left, len(idx)) + 1):
+            rest = tuple(need[j] - c * w[j] for j in dims)
+            r = left - c
+            if r < len(lo[g + 1][0]) and all(lo[g + 1][j][r] <= rest[j] <= hi[g + 1][j][r]
+                                             for j in dims):
+                walk(g + 1, r, rest, chosen + (c,))
+
+    walk(0, q, tuple(target), ())
+    out = []
+    for chosen in counts:
+        parts = [itertools.combinations(idx, c) for (_, idx), c in zip(groups, chosen)]
+        out.extend(tuple(sorted(itertools.chain(*pick))) for pick in itertools.product(*parts))
+    return sorted(out)
+
+
+def _weight0_keys(weights, q: int, module: str) -> list:
+    """The basis q-cochains (S, k) of weight l_k - sum_{i in S} l_i == 0 (the
+    l_k term absent for trivial coefficients), in full-basis order."""
+    n = len(weights)
+    if q < 0 or q > n:
+        return []
+    if module == "trivial":
+        return [(s, None) for s in _weight0_subsets(weights, q, (0,) * len(weights[0]))]
+    values = {}
+    for k, w in enumerate(weights):
+        values.setdefault(w, []).append(k)
+    return sorted((s, k) for w, ks in values.items()
+                  for s in _weight0_subsets(weights, q, w) for k in ks)
+
+
+def _build_differential(law: LieLaw, module: str, cols, rows) -> Differential:
     """d_q walked off the sparse structure constants, one row group at a time.
 
-    Row (T, k) sits at index(T) * width + k and column (S, k) at
-    index(S) * width + k, where index is the lexicographic position of the
-    subset and width is n (adjoint) or 1 (trivial).  Entries are sums of
-    signed structure constants, so the table is scaled once by the lcm L of
-    its denominators, sums are taken over int and emitted as v / L.
+    `cols` and `rows` are the basis keys of degrees q and q+1 that the matrix
+    acts on and lands in: every key, or the weight-0 keys.  Both are in
+    full-basis order, so the keys of one subset S form a run.  The values k
+    of a run depend only on the weight of S, so a bracket term maps the run
+    of S' onto the run of T offset by offset.  Entries are sums of signed
+    structure constants, so the table is scaled once by the lcm L of its
+    denominators, sums are taken over int and emitted as v / L.
     """
     n = law.dim
-    cols = cochain_basis(n, q, module)
-    rows = cochain_basis(n, q + 1, module)
-    width = n if module == "adjoint" else 1
     ncols = len(cols)
     scale = math.lcm(*(c.denominator for t in law.table.values() for c in t.values()))
     pairs = {}                                  # (i, j), i < j -> [(m, L * c)]
@@ -145,20 +237,43 @@ def _build_differential(law: LieLaw, q: int, module: str) -> Differential:
         pairs[(i, j)] = scaled
         acts[i].extend((j, m, v) for m, v in scaled)
         acts[j].extend((i, m, -v) for m, v in scaled)
-    subset_index = {s: x for x, (s, _) in enumerate(cols[::width])}
+    offsets = {}                                # values of a run -> offset of each k, or -1
+
+    def runs(keys):
+        """(S, index of its first key, run length, offset of each k or -1) per run."""
+        out, at = [], 0
+        for s, group in itertools.groupby(keys, key=lambda key: key[0]):
+            ks = tuple(k for _, k in group)
+            pos = offsets.get(ks)
+            if pos is None and module == "adjoint":
+                pos = offsets[ks] = [-1] * n
+                for off, k in enumerate(ks):
+                    pos[k] = off
+            out.append((s, at, len(ks), pos))
+            at += len(ks)
+        return out
+
+    col_run = {s: (at, pos) for s, at, _, pos in runs(cols)}
     fracs = {}
     entries = []
-    for ti, (t, _) in enumerate(rows[::width]):
-        group = {}                              # (row - ti * width) * ncols + col -> int
+    for t, row0, width, row_pos in runs(rows):
+        group = {}                              # (row - row0) * ncols + col -> int
         if module == "adjoint":
             for i, x in enumerate(t):
-                base = subset_index[t[:i] + t[i + 1:]] * n
+                run = col_run.get(t[:i] + t[i + 1:])
+                if run is None:                 # no key of that subset has the weight
+                    continue
+                base, col_pos = run
                 sign = -1 if i % 2 else 1
                 for k, m, v in acts[x]:
-                    key = m * ncols + base + k
+                    ck = col_pos[k]
+                    if ck < 0:
+                        continue
+                    key = row_pos[m] * ncols + base + ck
                     group[key] = group.get(key, 0) + sign * v
-        for i in range(q + 1):
-            for j in range(i + 1, q + 1):
+        q1 = len(t)
+        for i in range(q1):
+            for j in range(i + 1, q1):
                 terms = pairs.get((t[i], t[j]))
                 if terms is None:
                     continue
@@ -168,13 +283,12 @@ def _build_differential(law: LieLaw, q: int, module: str) -> Differential:
                     pos = bisect.bisect_left(rest, m)
                     if pos < len(rest) and rest[pos] == m:
                         continue
-                    col = subset_index[rest[:pos] + (m,) + rest[pos:]] * width
+                    col = col_run[rest[:pos] + (m,) + rest[pos:]][0]
                     if (odd + pos) % 2:
                         v = -v
-                    # (row offset k, column col + k) for every value index k
+                    # (row offset o, column col + o) for every value of the run
                     for key in range(col, col + width * (ncols + 1), ncols + 1):
                         group[key] = group.get(key, 0) + v
-        row0 = ti * width
         for key in sorted(group):
             v = group[key]
             if v:
@@ -202,14 +316,34 @@ def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _differential_cached(law: LieLaw, q: int, module: str) -> Differential:
-    return _build_differential(law, q, module)
+def _differential_cached(law: LieLaw, q: int, module: str, block: bool) -> Differential:
+    if block:
+        weights = _weights(law)
+        keys = _weight0_keys(weights, q, module), _weight0_keys(weights, q + 1, module)
+    else:
+        keys = cochain_basis(law.dim, q, module), cochain_basis(law.dim, q + 1, module)
+    return _build_differential(law, module, *keys)
 
 
 def differential(law: LieLaw, q: int, module: str = "trivial") -> Differential:
+    """The full d_q: C^q -> C^{q+1}."""
     if module not in ("trivial", "adjoint"):
         raise InputError("module must be 'trivial' or 'adjoint'")
-    return _differential_cached(law, q, module)
+    return _differential_cached(law, q, module, False)
+
+
+def _carrier(law: LieLaw, q: int, module: str) -> Differential:
+    """The part of d_q that carries the cohomology.
+
+    When some ad(e_x) is diagonal in the basis, the Lie derivative L_x =
+    d i_x + i_x d multiplies each basis cochain by its weight, so every block
+    of nonzero weight is acyclic (Hochschild-Serre).  Then this is d_q on
+    the weight-0 keys; otherwise it is the full d_q.  On a law that fails
+    Jacobi neither is a complex, and the two can give different ranks.
+    """
+    if _weights(law) is None:
+        return differential(law, q, module)
+    return _differential_cached(law, q, module, True)
 
 
 def apply_differential(law: LieLaw, c: Cochain) -> Cochain:
@@ -229,21 +363,15 @@ def _cochain_dim(n: int, q: int, module: str) -> int:
 
 def betti_numbers(law: LieLaw) -> list:
     """b_0..b_n for trivial coefficients."""
-    n = law.dim
-    ranks = [rank(differential(law, q, "trivial").sparse_rows()) for q in range(n + 1)]
-    out = []
-    for q in range(n + 1):
-        dim_cq = math.comb(n, q)
-        prev = ranks[q - 1] if q > 0 else 0
-        out.append(dim_cq - ranks[q] - prev)
-    return out
+    ds = [_carrier(law, q, "trivial") for q in range(law.dim + 1)]
+    ranks = [rank(d.sparse_rows()) for d in ds]
+    return [len(d.cols) - ranks[q] - (ranks[q - 1] if q > 0 else 0) for q, d in enumerate(ds)]
 
 
 def adjoint_h_dim(law: LieLaw, q: int) -> int:
-    dim_cq = _cochain_dim(law.dim, q, "adjoint")
-    r_q = rank(differential(law, q, "adjoint").sparse_rows())
-    r_prev = rank(differential(law, q - 1, "adjoint").sparse_rows()) if q > 0 else 0
-    return dim_cq - r_q - r_prev
+    d = _carrier(law, q, "adjoint")
+    r_prev = rank(_carrier(law, q - 1, "adjoint").sparse_rows()) if q > 0 else 0
+    return len(d.cols) - rank(d.sparse_rows()) - r_prev
 
 
 @dataclass(frozen=True)
@@ -284,11 +412,18 @@ def cocycle_space(law: LieLaw, q: int, module: str) -> Subspace:
 
 
 def cohomology_basis(law: LieLaw, q: int, module: str = "trivial") -> list:
-    """Cocycle representatives of a basis of H^q."""
-    z = cocycle_space(law, q, module)
-    b = coboundary_space(law, q, module)
-    return [vector_to_cochain(v, law.dim, q, module)
-            for v in independent(b.basis(), z.basis())]
+    """Cocycle representatives of a basis of H^q.
+
+    The cocycles are the RREF basis of ker d_q, kept in order when they are
+    independent of the coboundaries and of the cocycles kept before them.
+    Both spaces are graded and the weight-0 keys keep the full-basis order,
+    so the weight-0 block gives the same representatives as the full complex.
+    """
+    d = _carrier(law, q, module)
+    z = Subspace.span(len(d.cols), linalg.nullspace(d.sparse_rows(), cols=len(d.cols)))
+    b = _carrier(law, q - 1, module).sparse_cols() if q > 0 else []
+    return [Cochain(law.dim, q, module, {key: x for key, x in zip(d.cols, v) if x != 0})
+            for v in independent(b, z.basis())]
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:
@@ -321,11 +456,12 @@ def cup_product(law: LieLaw, a: Cochain, b: Cochain) -> Cochain:
 
 def cup_square_rank(law: LieLaw) -> int:
     """Rank of the image of the squaring map H^2 x H^2 -> H^4."""
-    reps = cohomology_basis(law, 2, "trivial")
-    basis4 = cochain_basis(law.dim, 4, "trivial")
-    squares = [cochain_to_vector(cup_product(law, r1, r2), basis4)
+    reps = cohomology_basis(law, 2, "trivial")      # cocycles by construction
+    d3 = _carrier(law, 3, "trivial")
+    pos = {key: i for i, key in enumerate(d3.rows)}
+    squares = [{pos[key]: x for key, x in wedge(r1, r2).terms.items()}
                for i, r1 in enumerate(reps) for r2 in reps[i:]]
-    return len(independent(coboundary_space(law, 4, "trivial").basis(), squares))
+    return len(independent(d3.sparse_cols(), squares))
 
 
 @dataclass(frozen=True)

@@ -715,34 +715,31 @@ def cornulier_reduction(law: LieLaw, cartan_vectors) -> ReductionResult:
                 new_weights.append(wt + (root,))
         spaces, weights_for = new_spaces, new_weights
 
-    # depth of each vector: nilpotency order of (action - weight) across all h
+    # depths: inside each weight space, K_j holds the vectors that every
+    # shifted operator maps into K_{j-1} (K_0 = 0); the vectors that K_j adds
+    # to K_{j-1} have depth j.  A basis adapted to this filtration keeps the
+    # scaling family contracting in any basis of the law.
     adapted_r = []       # in r coordinates
     coord_weights = []
     coord_depths = []
     for basis_u, wt in zip(spaces, weights_for):
         shifted_ops = [mat_sub(act, mat_scale(lamb, identity(rd)))
                        for act, lamb in zip(actions, wt)]
-        for u in basis_u:
-            depth = 1
-            probe = [u]
-            while True:
-                nxt = []
-                alive = False
-                for pv in probe:
-                    for op in shifted_ops:
-                        iv = mat_vec(op, pv)
-                        if not is_zero_vec(iv):
-                            nxt.append(iv)
-                            alive = True
-                if not alive:
-                    break
-                depth += 1
-                probe = nxt
-                if depth > rd + 1:
-                    raise LieSbeError("depth computation failed to terminate")
-            adapted_r.append(u)
-            coord_weights.append(wt)
-            coord_depths.append(depth)
+        u_cols = transpose(basis_u)
+        below = Subspace.zero(rd)
+        depth = 0
+        while below.dim < len(basis_u):
+            depth += 1
+            if depth > rd:
+                raise LieSbeError("depth computation failed to terminate")
+            memb = _membership_matrix(below)
+            rows = [row for op in shifted_ops for row in mat_mul(memb, mat_mul(op, u_cols))]
+            layer = [combine(c, basis_u) for c in nullspace(rows, cols=len(basis_u))]
+            for u in independent(below.basis(), layer):
+                adapted_r.append(u)
+                coord_weights.append(wt)
+                coord_depths.append(depth)
+            below = Subspace.span(rd, layer)
 
     lifted_r = [combine(u, r_rows) for u in adapted_r]
     full_cols = transpose(lifted_r + hbar)

@@ -43,9 +43,13 @@ def _default_basis(n: int) -> tuple:
 
 
 class LieLaw:
-    """An anticommutative bilinear law on Q^n (Jacobi not implied)."""
+    """An anticommutative bilinear law on Q^n (Jacobi not implied).
 
-    __slots__ = ("dim", "basis", "table")
+    Nothing mutates `table` after `__init__`: the identity key and its hash
+    are computed on first use and kept.
+    """
+
+    __slots__ = ("dim", "basis", "table", "_ident")
 
     def __init__(self, dim: int, table, basis=None):
         self.dim = int(dim)
@@ -75,16 +79,27 @@ class LieLaw:
     # -- identity is the structure constants, not the labels --------------
 
     def _key(self):
-        return (self.dim, tuple(sorted(
-            (i, j, k, self.table[(i, j)][k])
-            for (i, j) in self.table for k in self.table[(i, j)]
-        )))
+        """(key, hash of key), built once; the key is the sorted table."""
+        try:
+            return self._ident
+        except AttributeError:
+            key = (self.dim, tuple(sorted(
+                (i, j, k, self.table[(i, j)][k])
+                for (i, j) in self.table for k in self.table[(i, j)]
+            )))
+            self._ident = (key, hash(key))
+            return self._ident
 
     def __eq__(self, other):
-        return isinstance(other, LieLaw) and self._key() == other._key()
+        if self is other:
+            return True
+        if not isinstance(other, LieLaw):
+            return False
+        (a, ha), (b, hb) = self._key(), other._key()
+        return ha == hb and a == b
 
     def __hash__(self):
-        return hash(self._key())
+        return self._key()[1]
 
     def __repr__(self):
         terms = []

@@ -9,6 +9,8 @@ from lie_sbe.catalog import catalog_names
 from lie_sbe.cohomology import (
     Cochain,
     Differential,
+    _differential_cached,
+    _weights,
     adjoint_h_dim,
     apply_differential,
     betti_numbers,
@@ -28,7 +30,7 @@ from lie_sbe.cohomology import (
 )
 from lie_sbe.errors import InputError, PreconditionError
 from lie_sbe.laws import LieLaw, center, derivations, law_in_basis, semidirect_rank_one
-from lie_sbe.linalg import Subspace, diagonal, mat_mul
+from lie_sbe.linalg import Subspace, diagonal, independent, mat_mul, rank
 
 
 def _rand_cochain(rng, n, q, module):
@@ -334,3 +336,133 @@ def test_vector_cochain_round_trip():
         v = cochain_to_vector(c)
         back = vector_to_cochain(v, 4, 2, module)
         assert back.terms == c.terms
+
+
+# Reference H functions: today's answers from the full complex, as the H
+# functions computed them before they moved to the weight-0 block.
+
+def _reference_betti_numbers(law):
+    n = law.dim
+    ranks = [rank(differential(law, q, "trivial").sparse_rows()) for q in range(n + 1)]
+    return [len(cochain_basis(n, q, "trivial")) - ranks[q] - (ranks[q - 1] if q else 0)
+            for q in range(n + 1)]
+
+
+def _reference_adjoint_h_dim(law, q):
+    r_prev = rank(differential(law, q - 1, "adjoint").sparse_rows()) if q > 0 else 0
+    return (len(cochain_basis(law.dim, q, "adjoint"))
+            - rank(differential(law, q, "adjoint").sparse_rows()) - r_prev)
+
+
+def _reference_cohomology_basis(law, q, module):
+    z = cocycle_space(law, q, module)
+    b = coboundary_space(law, q, module)
+    return [vector_to_cochain(v, law.dim, q, module)
+            for v in independent(b.basis(), z.basis())]
+
+
+def _reference_cup_square_rank(law):
+    reps = _reference_cohomology_basis(law, 2, "trivial")
+    basis4 = cochain_basis(law.dim, 4, "trivial")
+    squares = [cochain_to_vector(cup_product(law, r1, r2), basis4)
+               for i, r1 in enumerate(reps) for r2 in reps[i:]]
+    return len(independent(coboundary_space(law, 4, "trivial").basis(), squares))
+
+
+def _two_diagonal_law():
+    """heis(3) = <X, Y, Z> extended by A = diag(1, 0, 1) and B = diag(0, 1/2, 1/2)."""
+    return LieLaw(5, {(0, 1): {2: 1},
+                      (0, 3): {0: -1}, (2, 3): {2: -1},
+                      (1, 4): {1: Fraction(-1, 2)}, (2, 4): {2: Fraction(-1, 2)}},
+                  basis=("X", "Y", "Z", "A", "B"))
+
+
+def _r3_fractional():
+    return semidirect_rank_one(LieLaw(3, {}), diagonal(1, 1, Fraction(3, 2)))
+
+
+def _assert_block_matches_reference(law, top_adjoint):
+    """Every H function against its full-complex reference on one law."""
+    n = law.dim
+    assert betti_numbers(law) == _reference_betti_numbers(law)
+    assert cup_square_rank(law) == _reference_cup_square_rank(law)
+    for q in range(n + 1):
+        got = [c.terms for c in cohomology_basis(law, q, "trivial")]
+        assert got == [c.terms for c in _reference_cohomology_basis(law, q, "trivial")]
+    for q in range(min(n, top_adjoint) + 1):
+        assert adjoint_h_dim(law, q) == _reference_adjoint_h_dim(law, q)
+        got = [c.terms for c in cohomology_basis(law, q, "adjoint")]
+        assert got == [c.terms for c in _reference_cohomology_basis(law, q, "adjoint")]
+
+
+# Adjoint degrees 2 and 3 of the full dim-8 complexes take seconds each, so
+# the catalog oracle stops at H^1_adj there; smaller laws go to H^3_adj.
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog(n).dim <= 9])
+def test_block_path_matches_the_full_complex(name):
+    forms = _three_forms(catalog(name))
+    given, permuted, _ = forms
+    assert (_weights(given) is None) == (_weights(permuted) is None)
+    for law in forms:
+        _assert_block_matches_reference(law, 3 if law.dim <= 6 else 1)
+
+
+def test_block_path_is_taken_exactly_on_diagonal_laws():
+    block = [n for n in catalog_names() if _weights(catalog(n)) is not None]
+    assert block == ["b(2,R)", "b(3,R)", "b(4,R)", "b(2,C)", "b(3,C)", "b(4,C)", "b(2,H)",
+                     "h2c_solvable", "aff"]
+    # ad(S) of b(3,R) is diag(1, 1, 0); 3/2 scales to 3 with everything doubled
+    assert _weights(catalog("b(3,R)")) == ((1,), (1,), (0,))
+    assert _weights(_r3_fractional()) == ((2,), (2,), (3,), (0,))
+    assert _weights(_two_diagonal_law()) == ((1, 0), (0, 1), (1, 1), (0, 0), (0, 0))
+    assert _weights(_unimodular_copy(catalog("b(2,C)"), 4, 8)) is None
+
+
+def test_block_path_with_fractional_weights_and_two_diagonal_elements():
+    for law in (_r3_fractional(), _unimodular_copy(_r3_fractional(), 4, 0), _two_diagonal_law()):
+        assert _weights(law) is not None
+        _assert_block_matches_reference(law, law.dim)
+    assert betti_numbers(_two_diagonal_law()) == [1, 2, 1, 0, 0, 0]
+
+
+def _block(law, q, module):
+    return _differential_cached(law, q, module, True)
+
+
+@pytest.mark.parametrize("name", ["b(3,R)", "b(2,C)", "b(3,C)", "h2c_solvable", "aff"])
+def test_block_is_the_restriction_of_the_full_differential(name):
+    laws = [catalog(name), _unimodular_copy(catalog(name), 3, 0), _r3_fractional(),
+            _two_diagonal_law()]
+    for law in laws:
+        for module in ("trivial", "adjoint"):
+            for q in range(law.dim + 1):
+                full, block = differential(law, q, module), _block(law, q, module)
+                rows = {key: i for i, key in enumerate(full.rows)}
+                cols = {key: i for i, key in enumerate(full.cols)}
+                inside = {(rows[r], cols[c]) for r in block.rows for c in block.cols}
+                col_set = {cols[c] for c in block.cols}
+                # d maps the block columns into the block rows, and nowhere else
+                assert {(r, c) for r, c, _ in full.entries if c in col_set} <= inside
+                restricted = {(rows[block.rows[r]], cols[block.cols[c]]): v
+                              for r, c, v in block.entries}
+                assert restricted == {(r, c): v for r, c, v in full.entries if (r, c) in inside}
+                _assert_canonical(block)
+
+
+def test_blocks_square_to_zero_and_h1_counts_outer_derivations():
+    laws = [form for name in ("b(3,R)", "b(2,C)", "b(3,C)", "b(2,H)", "h2c_solvable")
+            for form in _three_forms(catalog(name))[:2]]
+    for law in laws + [_r3_fractional(), _two_diagonal_law()]:
+        assert derivations(law).outer_dim == adjoint_h_dim(law, 1)
+        if law.dim > 6:
+            continue
+        for module in ("trivial", "adjoint"):
+            for q in range(law.dim):
+                d1, d2 = _block(law, q, module), _block(law, q + 1, module)
+                assert d1.rows == d2.cols
+                cols2 = d2.sparse_cols()
+                for col in d1.sparse_cols():
+                    acc = {}
+                    for r1, v1 in col.items():
+                        for r2, v2 in cols2[r1].items():
+                            acc[r2] = acc.get(r2, 0) + v2 * v1
+                    assert not any(acc.values())

@@ -1,3 +1,6 @@
+import os
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -262,6 +265,30 @@ def test_cornulier_reduction_s_second():
     assert res.g_inf == target
     assert tuple(res.weights) == ((Fraction(1),), (Fraction(1),), (Fraction(2),))
     assert tuple(res.depths) == (1, 2, 1)
+
+
+def _oracles():
+    """perfbench/oracles.py, the benchmark's basis changes."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import oracles
+    return oracles
+
+
+def test_cornulier_reduction_s_second_in_any_basis():
+    # seeds 0-59 of the benchmark's unimodular changes, the Cartan vector
+    # carried along by Q^-1; 22 of them used to mix depths 1 and 2 in one
+    # vector and raise "reduction family does not contract onto g1"
+    oracles = _oracles()
+    base = catalog("s_second")
+    for seed in range(60):
+        q, q_inv = oracles.unimodular(random.Random(seed), 4, 4)
+        law = LieLaw(4, oracles.transport(base.table, 4, q, q_inv))
+        cartan = [q_inv[r][3] for r in range(4)]
+        res = cornulier_reduction(law, [cartan])
+        assert res.depths == (1, 2, 1), seed
+        assert res.family is not None and res.g1 == contraction_limit(apply_family(law, res.family))
 
 
 def test_cornulier_reduction_nilpotent_case():

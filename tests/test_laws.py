@@ -102,6 +102,15 @@ def test_law_identity_ignores_basis_labels():
     assert a != law_from_table(3, {(1, 2): {3: 2}})
 
 
+def test_law_identity_is_built_once():
+    a = LieLaw(4, {(0, 1): {2: 1, 3: Fraction(1, 2)}, (0, 3): {3: -1}}, basis=("A", "B", "C", "D"))
+    b = LieLaw(4, {(0, 3): {3: Fraction(-1)}, (0, 1): {3: Fraction(2, 4), 2: 1}})
+    key = a._key()
+    assert a._key() is key and hash(a) == hash(a) == key[1]
+    assert a == b and hash(a) == hash(b) and {a: 1}[b] == 1
+    assert a != LieLaw(5, a.table) and a != LieLaw(4, {(0, 1): {2: 1}})
+
+
 def test_table_validation():
     with pytest.raises(InputError):
         LieLaw(3, {(2, 1): {0: 1}})  # needs i < j
