@@ -123,6 +123,7 @@ class Differential:
         return out
 
 
+@lru_cache(maxsize=256)
 def _weights(law: LieLaw):
     """Integer weights of the basis under every e_x whose ad is diagonal.
 
@@ -131,7 +132,8 @@ def _weights(law: LieLaw):
     [e_i, e_j] lies in the eigenvalue-(l_i + l_j) space; Jacobi implies it).
     Each qualifying x gives the eigenvalues l_k scaled by the lcm of their
     denominators.  Returns one tuple per basis index, with one entry per
-    qualifying x, or None when no e_x qualifies.
+    qualifying x, or None when no e_x qualifies.  Memoised per law, since
+    every H function asks for each degree.
     """
     n, table = law.dim, law.table
     eig = [[_ZERO] * n for _ in range(n)]      # eig[x][k]: [e_x, e_k] = eig * e_k
@@ -149,10 +151,10 @@ def _weights(law: LieLaw):
     for x in range(n):
         if not diagonal[x] or broken[x]:
             continue
-        lam = eig[x]
-        if all(lam[m] == lam[i] + lam[j] for (i, j), targets in table.items() for m in targets):
-            scale = math.lcm(*(c.denominator for c in lam))
-            cols.append([int(c * scale) for c in lam])
+        scale = math.lcm(*(c.denominator for c in eig[x]))
+        w = [c.numerator * (scale // c.denominator) for c in eig[x]]
+        if all(w[m] == w[i] + w[j] for (i, j), targets in table.items() for m in targets):
+            cols.append(w)
     return tuple(zip(*cols)) if cols else None
 
 

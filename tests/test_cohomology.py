@@ -338,8 +338,7 @@ def test_vector_cochain_round_trip():
         assert back.terms == c.terms
 
 
-# Reference H functions: today's answers from the full complex, as the H
-# functions computed them before they moved to the weight-0 block.
+# Reference H functions on the full complex: the oracle for the weight-0 block.
 
 def _reference_betti_numbers(law):
     n = law.dim
@@ -428,11 +427,12 @@ def _block(law, q, module):
     return _differential_cached(law, q, module, True)
 
 
-@pytest.mark.parametrize("name", ["b(3,R)", "b(2,C)", "b(3,C)", "h2c_solvable", "aff"])
+@pytest.mark.parametrize("name", ["b(3,R)", "b(2,C)", "b(3,C)", "h2c_solvable", "aff",
+                                  "r3_fractional", "two_diagonal"])
 def test_block_is_the_restriction_of_the_full_differential(name):
-    laws = [catalog(name), _unimodular_copy(catalog(name), 3, 0), _r3_fractional(),
-            _two_diagonal_law()]
-    for law in laws:
+    law = {"r3_fractional": _r3_fractional, "two_diagonal": _two_diagonal_law}.get(
+        name, lambda: catalog(name))()
+    for law in (law, _unimodular_copy(law, 3, 0)):
         for module in ("trivial", "adjoint"):
             for q in range(law.dim + 1):
                 full, block = differential(law, q, module), _block(law, q, module)
