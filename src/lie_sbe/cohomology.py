@@ -123,7 +123,6 @@ class Differential:
         return out
 
 
-@lru_cache(maxsize=256)
 def _weights(law: LieLaw):
     """Integer weights of the basis under every e_x whose ad is diagonal.
 
@@ -132,8 +131,7 @@ def _weights(law: LieLaw):
     [e_i, e_j] lies in the eigenvalue-(l_i + l_j) space; Jacobi implies it).
     Each qualifying x gives the eigenvalues l_k scaled by the lcm of their
     denominators.  Returns one tuple per basis index, with one entry per
-    qualifying x, or None when no e_x qualifies.  Memoised per law, since
-    every H function asks for each degree.
+    qualifying x, or None when no e_x qualifies.
     """
     n, table = law.dim, law.table
     eig = [[_ZERO] * n for _ in range(n)]      # eig[x][k]: [e_x, e_k] = eig * e_k
@@ -318,12 +316,12 @@ def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:
 
 
 @lru_cache(maxsize=256)
-def _differential_cached(law: LieLaw, q: int, module: str, block: bool) -> Differential:
-    if block:
-        weights = _weights(law)
-        keys = _weight0_keys(weights, q, module), _weight0_keys(weights, q + 1, module)
-    else:
+def _differential_cached(law: LieLaw, q: int, module: str, weights) -> Differential:
+    """d_q on every key (weights None), or on the weight-0 keys of `weights`."""
+    if weights is None:
         keys = cochain_basis(law.dim, q, module), cochain_basis(law.dim, q + 1, module)
+    else:
+        keys = _weight0_keys(weights, q, module), _weight0_keys(weights, q + 1, module)
     return _build_differential(law, module, *keys)
 
 
@@ -331,21 +329,22 @@ def differential(law: LieLaw, q: int, module: str = "trivial") -> Differential:
     """The full d_q: C^q -> C^{q+1}."""
     if module not in ("trivial", "adjoint"):
         raise InputError("module must be 'trivial' or 'adjoint'")
-    return _differential_cached(law, q, module, False)
+    return _differential_cached(law, q, module, None)
 
 
-def _carrier(law: LieLaw, q: int, module: str) -> Differential:
+def _carrier(law: LieLaw, q: int, module: str, weights) -> Differential:
     """The part of d_q that carries the cohomology.
 
     When some ad(e_x) is diagonal in the basis, the Lie derivative L_x =
     d i_x + i_x d multiplies each basis cochain by its weight, so every block
-    of nonzero weight is acyclic (Hochschild-Serre).  Then this is d_q on
-    the weight-0 keys; otherwise it is the full d_q.  On a law that fails
+    of nonzero weight is acyclic (Hochschild-Serre).  Then, with `weights`
+    = _weights(law), this is d_q on the weight-0 keys; otherwise (weights
+    None) it is the full d_q.  On a law that fails
     Jacobi neither is a complex, and the two can give different ranks.
     """
-    if _weights(law) is None:
+    if weights is None:
         return differential(law, q, module)
-    return _differential_cached(law, q, module, True)
+    return _differential_cached(law, q, module, weights)
 
 
 def apply_differential(law: LieLaw, c: Cochain) -> Cochain:
@@ -365,14 +364,16 @@ def _cochain_dim(n: int, q: int, module: str) -> int:
 
 def betti_numbers(law: LieLaw) -> list:
     """b_0..b_n for trivial coefficients."""
-    ds = [_carrier(law, q, "trivial") for q in range(law.dim + 1)]
+    weights = _weights(law)
+    ds = [_carrier(law, q, "trivial", weights) for q in range(law.dim + 1)]
     ranks = [rank(d.sparse_rows()) for d in ds]
     return [len(d.cols) - ranks[q] - (ranks[q - 1] if q > 0 else 0) for q, d in enumerate(ds)]
 
 
 def adjoint_h_dim(law: LieLaw, q: int) -> int:
-    d = _carrier(law, q, "adjoint")
-    r_prev = rank(_carrier(law, q - 1, "adjoint").sparse_rows()) if q > 0 else 0
+    weights = _weights(law)
+    d = _carrier(law, q, "adjoint", weights)
+    r_prev = rank(_carrier(law, q - 1, "adjoint", weights).sparse_rows()) if q > 0 else 0
     return len(d.cols) - rank(d.sparse_rows()) - r_prev
 
 
@@ -421,9 +422,10 @@ def cohomology_basis(law: LieLaw, q: int, module: str = "trivial") -> list:
     Both spaces are graded and the weight-0 keys keep the full-basis order,
     so the weight-0 block gives the same representatives as the full complex.
     """
-    d = _carrier(law, q, module)
+    weights = _weights(law)
+    d = _carrier(law, q, module, weights)
     z = Subspace.span(len(d.cols), linalg.nullspace(d.sparse_rows(), cols=len(d.cols)))
-    b = _carrier(law, q - 1, module).sparse_cols() if q > 0 else []
+    b = _carrier(law, q - 1, module, weights).sparse_cols() if q > 0 else []
     return [Cochain(law.dim, q, module, {key: x for key, x in zip(d.cols, v) if x != 0})
             for v in independent(b, z.basis())]
 
@@ -459,7 +461,7 @@ def cup_product(law: LieLaw, a: Cochain, b: Cochain) -> Cochain:
 def cup_square_rank(law: LieLaw) -> int:
     """Rank of the image of the squaring map H^2 x H^2 -> H^4."""
     reps = cohomology_basis(law, 2, "trivial")      # cocycles by construction
-    d3 = _carrier(law, 3, "trivial")
+    d3 = _carrier(law, 3, "trivial", _weights(law))
     pos = {key: i for i, key in enumerate(d3.rows)}
     squares = [{pos[key]: x for key, x in wedge(r1, r2).terms.items()}
                for i, r1 in enumerate(reps) for r2 in reps[i:]]

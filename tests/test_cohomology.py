@@ -424,7 +424,7 @@ def test_block_path_with_fractional_weights_and_two_diagonal_elements():
 
 
 def _block(law, q, module):
-    return _differential_cached(law, q, module, True)
+    return _differential_cached(law, q, module, _weights(law))
 
 
 @pytest.mark.parametrize("name", ["b(3,R)", "b(2,C)", "b(3,C)", "h2c_solvable", "aff",
