@@ -156,7 +156,7 @@ def _weights(law: LieLaw):
     return tuple(zip(*cols)) if cols else None
 
 
-def _weight0_subsets(weights, q: int, target) -> list:
+def _subsets_of_weight(weights, q: int, target) -> list:
     """The q-subsets S of the basis with sum_{i in S} weights[i] == target.
 
     Indices are grouped by weight, and the walk picks how many indices each
@@ -171,10 +171,10 @@ def _weight0_subsets(weights, q: int, target) -> list:
     # lo/hi[g][j][r]: least / greatest sum of coordinate j over r indices of groups g..
     lo, hi = [], []
     for g in range(len(groups) + 1):
-        rest = [w for w, idx in groups[g:] for _ in idx]
+        pool = [w for w, idx in groups[g:] for _ in idx]
         lo_g, hi_g = [], []
         for j in dims:
-            vals = sorted(w[j] for w in rest)
+            vals = sorted(w[j] for w in pool)
             lo_g.append(list(itertools.accumulate(vals, initial=0)))
             hi_g.append(list(itertools.accumulate(reversed(vals), initial=0)))
         lo.append(lo_g)
@@ -208,12 +208,12 @@ def _weight0_keys(weights, q: int, module: str) -> list:
     if q < 0 or q > n:
         return []
     if module == "trivial":
-        return [(s, None) for s in _weight0_subsets(weights, q, (0,) * len(weights[0]))]
+        return [(s, None) for s in _subsets_of_weight(weights, q, (0,) * len(weights[0]))]
     values = {}
     for k, w in enumerate(weights):
         values.setdefault(w, []).append(k)
     return sorted((s, k) for w, ks in values.items()
-                  for s in _weight0_subsets(weights, q, w) for k in ks)
+                  for s in _subsets_of_weight(weights, q, w) for k in ks)
 
 
 def _build_differential(law: LieLaw, module: str, cols, rows) -> Differential:

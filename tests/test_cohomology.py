@@ -10,6 +10,7 @@ from lie_sbe.cohomology import (
     Cochain,
     Differential,
     _differential_cached,
+    _weight0_keys,
     _weights,
     adjoint_h_dim,
     apply_differential,
@@ -421,6 +422,21 @@ def test_block_path_with_fractional_weights_and_two_diagonal_elements():
         assert _weights(law) is not None
         _assert_block_matches_reference(law, law.dim)
     assert betti_numbers(_two_diagonal_law()) == [1, 2, 1, 0, 0, 0]
+
+
+def test_weight0_keys_match_a_filter_over_all_keys():
+    rng = random.Random(45)
+    for trial in range(60):
+        n, dims = rng.randint(1, 7), rng.randint(1, 2)
+        weights = tuple(tuple(rng.randint(-3, 3) for _ in range(dims)) for _ in range(n))
+        for q in range(-1, n + 2):
+            for module in ("trivial", "adjoint"):
+                def weight(s, k):
+                    value = weights[k] if k is not None else (0,) * dims
+                    return tuple(value[j] - sum(weights[i][j] for i in s) for j in range(dims))
+                expect = [(s, k) for s, k in cochain_basis(n, q, module)
+                          if not any(weight(s, k))]
+                assert _weight0_keys(weights, q, module) == expect
 
 
 def _block(law, q, module):
