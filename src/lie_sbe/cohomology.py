@@ -339,8 +339,8 @@ def _carrier(law: LieLaw, q: int, module: str, weights) -> Differential:
     d i_x + i_x d multiplies each basis cochain by its weight, so every block
     of nonzero weight is acyclic (Hochschild-Serre).  Then, with `weights`
     = _weights(law), this is d_q on the weight-0 keys; otherwise (weights
-    None) it is the full d_q.  On a law that fails
-    Jacobi neither is a complex, and the two can give different ranks.
+    None) it is the full d_q.  On a law that fails Jacobi neither is a
+    complex, and the two can give different ranks.
     """
     if weights is None:
         return differential(law, q, module)
