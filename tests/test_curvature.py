@@ -9,8 +9,8 @@ import lie_sbe
 from lie_sbe import catalog, curvature
 from lie_sbe.curvature import (
     MAX_SAMPLES,
+    _critical_offsets,
     _plane_curvatures,
-    _refine,
     alpha_from_law,
     bianchi_residual,
     curvature_tensor,
@@ -238,8 +238,48 @@ def _reference_orthonormal_pair(rng, n):
         return u, v / nv
 
 
+def _reference_coordinate_refine(frame, u, v, minimize, sweeps=3, radius=0.25):
+    """The single-pair refine: the same exact line search as the library's,
+    with one Jacobi operator per half-sweep and one scalar `sectional` call
+    per checked step, on the pair (u, v) in place."""
+    n1 = frame.n + 1
+    eye = np.eye(n1)
+    sign = 1.0 if minimize else -1.0
+    best = sign * sectional(frame, u, v)
+    for sweep in range(sweeps):
+        r = radius / (4.0 ** sweep)
+        for p, q in ((u, v), (v, u)):
+            jac = curvature_tensor(frame, eye, q, q)
+            jac = (jac + jac.T) / 2.0
+            qq = float(q @ q)
+            for i in range(n1):
+                jp = jac @ p
+                pq = float(p @ q)
+                a = (float(p @ jp), 2.0 * float(jp[i]), float(jac[i, i]))
+                b = (float(p @ p) * qq - pq * pq, 2.0 * (float(p[i]) * qq - pq * float(q[i])),
+                     qq - float(q[i]) ** 2)
+                t_best, k_best = 0.0, math.inf
+                for t in [-r, r] + [t for t in _critical_offsets(a, b) if -r < t < r]:
+                    den = b[0] + t * (b[1] + t * b[2])
+                    if den <= 1e-12:
+                        continue
+                    k = sign * (a[0] + t * (a[1] + t * a[2])) / den
+                    if k < k_best:
+                        t_best, k_best = t, k
+                if k_best == math.inf:
+                    continue
+                moved = p.copy()
+                moved[i] += t_best
+                val = sign * (sectional(frame, moved, q) if p is u else sectional(frame, q, moved))
+                if val < best:
+                    best = val
+                    p[i] = moved[i]
+    return sign * best, u, v
+
+
 def _reference_pinching(alpha, eps, samples, seed, refine_sweeps=3):
-    """pinching_estimate as a per-plane loop: one scalar `sectional` per draw."""
+    """pinching_estimate as a per-plane loop: one scalar `sectional` per draw,
+    and one refine per extreme."""
     frame = frame_matrices(alpha, eps)
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
@@ -254,9 +294,11 @@ def _reference_pinching(alpha, eps, samples, seed, refine_sweeps=3):
         if s > sec_max:
             sec_max, pair_max = s, (u.copy(), v.copy())
     if refine_sweeps > 0:
-        sec_min, mu, mv = _refine(frame, pair_min[0], pair_min[1], True, refine_sweeps)
+        sec_min, mu, mv = _reference_coordinate_refine(
+            frame, pair_min[0], pair_min[1], True, refine_sweeps)
         pair_min = (mu, mv)
-        sec_max, xu, xv = _refine(frame, pair_max[0], pair_max[1], False, refine_sweeps)
+        sec_max, xu, xv = _reference_coordinate_refine(
+            frame, pair_max[0], pair_max[1], False, refine_sweeps)
         pair_max = (xu, xv)
     bianchi = 0.0
     for _ in range(200):
