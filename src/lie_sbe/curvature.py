@@ -15,6 +15,7 @@ rational.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -198,6 +199,8 @@ def frame_matrices(alpha, eps: float) -> Frame:
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
         raise InputError("alpha must be a nonempty square matrix")
+    if isinstance(a, np.ndarray) and not np.isfinite(a).all():
+        raise InputError("alpha must have finite entries")
     mean = sum(a[i][i] for i in range(n)) / n
     if mean <= 0:
         raise PreconditionError("the mean real part of the spectrum is %s, need it positive" % mean)
@@ -235,7 +238,10 @@ def frame_matrices(alpha, eps: float) -> Frame:
         raise PreconditionError("layout does not fill the space")
     d_sym = (m + m.T) / 2.0
     s_skew = (m - m.T) / 2.0
-    nmat = d_sym @ d_sym + d_sym @ s_skew - s_skew @ d_sym
+    with np.errstate(over="ignore", invalid="ignore"):
+        nmat = d_sym @ d_sym + d_sym @ s_skew - s_skew @ d_sym
+    if not np.isfinite(nmat).all():
+        raise PreconditionError("the curvature frame overflows at eps %r" % (eps,))
     return Frame(n=n, eps=float(eps), m=m, d=d_sym, s=s_skew, nmat=nmat,
                  layout=layout, trace=float(np.trace(m)))
 
@@ -244,11 +250,11 @@ def frame_matrices(alpha, eps: float) -> Frame:
 
 def _apply(m, x):
     """m @ x for a stack of vectors x, as a product and a sum over the last axis."""
-    return np.sum(m * x[..., None, :], axis=-1)
+    return np.add.reduce(m * x[..., None, :], axis=-1)
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1, keepdims=True)
+    return np.add.reduce(a * b, axis=-1, keepdims=True)
 
 
 def curvature_tensor(frame: Frame, x, y, z):
@@ -273,13 +279,25 @@ def curvature_tensor(frame: Frame, x, y, z):
     return np.concatenate([head, -_dot(zn, w)], axis=-1)
 
 
+def _sectionals(frame: Frame, u, v):
+    """Sectional curvature of span(u[i], v[i]) for each row i of two
+    (k, n + 1) stacks, from one curvature_tensor call.
+
+    Each row gets the bits of a call on that row alone; the dot products
+    and the square stay per row, since a numpy scalar squares through pow
+    and an array through a product, which differ in the last bit.
+    """
+    num = curvature_tensor(frame, u, v, v)
+    den = np.array([(a @ a) * (b @ b) - (a @ b) ** 2 for a, b in zip(u, v)])
+    if (den <= 1e-14).any():
+        raise PreconditionError("the two vectors do not span a plane")
+    return np.array([x @ a for x, a in zip(num, u)]) / den
+
+
 def sectional(frame: Frame, u, v) -> float:
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    den = (u @ u) * (v @ v) - (u @ v) ** 2
-    if den <= 1e-14:
-        raise PreconditionError("the two vectors do not span a plane")
-    return float(curvature_tensor(frame, u, v, v) @ u) / den
+    return _sectionals(frame, u[None], v[None])[0]
 
 
 def bianchi_residual(frame: Frame, x, y, z) -> float:
@@ -323,16 +341,17 @@ def _draw_planes(rng, samples, n):
     redrawn, so every row returned spans one.
     """
     g = rng.standard_normal((samples, 2, n))
-    bad = np.arange(samples)
+    u, v, bad = g[:, 0], g[:, 1], None
     while True:
-        u, v = g[bad, 0], g[bad, 1]
         nu = np.linalg.norm(u, axis=1)
         uhat = u / np.maximum(nu, 1e-8)[:, None]
         vperp = v - _rowdot(v, uhat)[:, None] * uhat
-        bad = bad[(nu < 1e-8) | (np.linalg.norm(vperp, axis=1) < 1e-8)]
+        flat = (nu < 1e-8) | (np.linalg.norm(vperp, axis=1) < 1e-8)
+        bad = np.flatnonzero(flat) if bad is None else bad[flat]
         if not len(bad):
             return g
         g[bad] = rng.standard_normal((len(bad), 2, n))
+        u, v = g[bad, 0], g[bad, 1]
 
 
 def _orthonormal(u, v):
@@ -383,51 +402,61 @@ def _critical_offsets(a, b):
     return [h / c2, c0 / h] if h != 0.0 else [0.0]
 
 
-def _refine(frame, u, v, minimize, sweeps=3, radius=0.25):
-    """Coordinate sweeps on the pair (u, v), in place, toward the smallest
-    (minimize) or largest sectional curvature.
+def _refine(frame, us, vs, minimize, sweeps=3, radius=0.25):
+    """Coordinate sweeps on the pairs (us[j], vs[j]) of two (k, n + 1)
+    stacks, in place, toward the smallest (minimize[j]) or largest sectional
+    curvature; returns the k curvatures reached.
 
     Sweep k moves each coordinate of u, then of v, by some t in [-r, r] with
     r = radius / 4^k.  With the other vector q fixed, <R(p,q)q,p> = p.J p
     for the Jacobi operator J[i, j] = <R(e_i,q)q,e_j>, and the Gram
     determinant is quadratic in p too, so moving p_i by t gives a ratio of
     two quadratics in t: the line search tries t = -r, r and the critical
-    points inside (-r, r).  The best t is taken only if `sectional` at the
-    moved pair strictly improves on the best value so far.
+    points inside (-r, r).  The best t is taken only if the sectional
+    curvature at the moved pair strictly improves on the best value so far.
+    The pairs move independently, but one curvature_tensor call builds all
+    their Jacobi operators and one _sectionals call checks all their steps.
     """
     n1 = frame.n + 1
     eye = np.eye(n1)
-    sign = 1.0 if minimize else -1.0
-    best = sign * sectional(frame, u, v)
+    sign = [1.0 if m else -1.0 for m in minimize]
+    best = [s * x for s, x in zip(sign, _sectionals(frame, us, vs))]
     for sweep in range(sweeps):
         r = radius / (4.0 ** sweep)
-        for p, q in ((u, v), (v, u)):
-            jac = curvature_tensor(frame, eye, q, q)
-            jac = (jac + jac.T) / 2.0
-            qq = float(q @ q)
+        for ps, qs in ((us, vs), (vs, us)):
+            jac = curvature_tensor(frame, eye, qs[:, None], qs[:, None])
+            jac = (jac + jac.swapaxes(1, 2)) / 2.0
+            qqs = [float(q @ q) for q in qs]
             for i in range(n1):
-                jp = jac @ p
-                pq = float(p @ q)
-                a = (float(p @ jp), 2.0 * float(jp[i]), float(jac[i, i]))
-                b = (float(p @ p) * qq - pq * pq, 2.0 * (float(p[i]) * qq - pq * float(q[i])),
-                     qq - float(q[i]) ** 2)
-                t_best, k_best = 0.0, math.inf
-                for t in [-r, r] + [t for t in _critical_offsets(a, b) if -r < t < r]:
-                    den = b[0] + t * (b[1] + t * b[2])
-                    if den <= 1e-12:
-                        continue
-                    k = sign * (a[0] + t * (a[1] + t * a[2])) / den
-                    if k < k_best:
-                        t_best, k_best = t, k
-                if k_best == math.inf:
+                moved = ps.copy()
+                stepped = []
+                for j, (p, q, jc, qq) in enumerate(zip(ps, qs, jac, qqs)):
+                    jp = jc @ p
+                    pq = float(p @ q)
+                    a = (float(p @ jp), 2.0 * float(jp[i]), float(jc[i, i]))
+                    b = (float(p @ p) * qq - pq * pq,
+                         2.0 * (float(p[i]) * qq - pq * float(q[i])),
+                         qq - float(q[i]) ** 2)
+                    t_best, k_best = 0.0, math.inf
+                    for t in [-r, r] + [t for t in _critical_offsets(a, b) if -r < t < r]:
+                        den = b[0] + t * (b[1] + t * b[2])
+                        if den <= 1e-12:
+                            continue
+                        k = sign[j] * (a[0] + t * (a[1] + t * a[2])) / den
+                        if k < k_best:
+                            t_best, k_best = t, k
+                    if k_best < math.inf:
+                        moved[j, i] += t_best
+                        stepped.append(j)
+                if not stepped:
                     continue
-                moved = p.copy()
-                moved[i] += t_best
-                val = sign * (sectional(frame, moved, q) if p is u else sectional(frame, q, moved))
-                if val < best:
-                    best = val
-                    p[i] = moved[i]
-    return sign * best, u, v
+                val = (_sectionals(frame, moved, qs) if ps is us
+                       else _sectionals(frame, qs, moved))
+                for j in stepped:
+                    if sign[j] * val[j] < best[j]:
+                        best[j] = sign[j] * val[j]
+                        ps[j, i] = moved[j, i]
+    return [s * b for s, b in zip(sign, best)]
 
 
 def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> CurvatureReport:
@@ -435,23 +464,23 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
         raise PreconditionError("samples must be at least 1, got %d" % samples)
     if samples > MAX_SAMPLES:
         raise PreconditionError("samples must be at most %d, got %d" % (MAX_SAMPLES, samples))
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise PreconditionError("seed must be a non-negative integer, got %r" % (seed,))
     frame = frame_matrices(alpha, eps)
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
     g = _draw_planes(rng, samples, n1)
-    k = _plane_curvatures(frame, g)
-
-    def extreme(i, minimize):
-        u, v = _orthonormal(g[i, 0], g[i, 1])
-        if refine_sweeps > 0:
-            return _refine(frame, u, v, minimize, refine_sweeps)
-        return sectional(frame, u, v), u, v
-
-    sec_min, min_u, min_v = extreme(int(np.argmin(k)), True)
-    sec_max, max_u, max_v = extreme(int(np.argmax(k)), False)
-    # one block consumes the stream as 200 sequential x, y, z draws would
-    xyz = rng.standard_normal((200, 3, n1))
-    bianchi = bianchi_residual(frame, xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    # an overflow shows as a non-finite extreme, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = _plane_curvatures(frame, g)
+        ends = (int(np.argmin(k)), int(np.argmax(k)))
+        us, vs = (np.array(x) for x in zip(*(_orthonormal(*g[i]) for i in ends)))
+        sec_min, sec_max = _refine(frame, us, vs, (True, False), refine_sweeps)
+        # one block consumes the stream as 200 sequential x, y, z draws would
+        xyz = rng.standard_normal((200, 3, n1))
+        bianchi = bianchi_residual(frame, xyz[:, 0], xyz[:, 1], xyz[:, 2])
+    if not all(map(math.isfinite, (sec_min, sec_max, bianchi))):
+        raise PreconditionError("the sampled curvature overflows at eps %r" % (eps,))
     ratio = sec_min / sec_max if sec_max < 0 else math.inf
     return CurvatureReport(
         eps=frame.eps,
@@ -461,8 +490,8 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
         sec_max=sec_max,
         ratio=ratio,
         bianchi_max=bianchi,
-        min_pair=(tuple(map(float, min_u)), tuple(map(float, min_v))),
-        max_pair=(tuple(map(float, max_u)), tuple(map(float, max_v))),
+        min_pair=(tuple(map(float, us[0])), tuple(map(float, vs[0]))),
+        max_pair=(tuple(map(float, us[1])), tuple(map(float, vs[1]))),
         frame=frame,
     )
 

@@ -270,6 +270,31 @@ def test_pinch_with_infinite_eps_is_exit_3(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+_BAD_FLOAT_PROBE = """
+import contextlib, io, json
+from lie_sbe import cli
+
+report = []
+for argv in (["--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--seed", "-1"],
+             ["--eps", "1", "--alpha", "[[1e400]]"],
+             ["--alpha", "[[1,1],[0,1]]", "--eps", "1e200", "--samples", "20", "--pansu"]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(["pinch"] + argv)
+    report.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_pinch_with_a_bad_seed_or_non_finite_floats_is_exit_3(fresh_python):
+    # a fresh interpreter, so that numpy's warnings reach stderr unfiltered
+    assert json.loads(fresh_python(_BAD_FLOAT_PROBE)) == [
+        [3, "", "error: seed must be a non-negative integer, got -1\n"],
+        [3, "", "error: alpha must have finite entries\n"],
+        [3, "", "error: the curvature frame overflows at eps 1e+200\n"],
+    ]
+
+
 def test_contract_with_singular_base_change_is_exit_3(capsys):
     family = json.dumps({"w": [0, -1, -1, 0], "P": [[0] * 4 for _ in range(4)]})
     code, out, err = run_cli(capsys, ["contract", "catalog:s_prime", "--family", family])

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +213,29 @@ def test_pinching_caps_the_samples():
     # refused before the frame is built or any plane is drawn
     with pytest.raises(PreconditionError, match="samples must be at most %d" % MAX_SAMPLES):
         pinching_estimate([[1, 1], [0, 1]], 0.1, samples=MAX_SAMPLES + 1)
+
+
+def test_pinching_rejects_a_negative_seed():
+    with pytest.raises(PreconditionError, match="^seed must be a non-negative integer, got -1$"):
+        pinching_estimate([[1, 1], [0, 1]], 0.1, samples=10, seed=-1)
+
+
+def test_frame_rejects_non_finite_entries():
+    for alpha in ([[math.inf]], [[1.0, math.nan], [0.0, 1.0]]):
+        with pytest.raises(InputError, match="finite"):
+            frame_matrices(alpha, 1.0)
+
+
+@pytest.mark.parametrize("eps, what", [(1e200, "curvature frame"), (1e154, "sampled curvature")])
+def test_an_overflowing_eps_is_rejected_without_warnings(eps, what):
+    # sectional curvatures grow like eps^2; past the float range the result
+    # is refused, and no overflow warning escapes on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match=re.escape("the %s overflows at eps %r" % (what, eps))):
+            pansu_consistency([[1, 1], [0, 1]], eps, samples=20)
+        rep = pinching_estimate([[1, 1], [0, 1]], 1e150, samples=20)
+    assert all(map(math.isfinite, (rep.sec_min, rep.sec_max, rep.bianchi_max)))
 
 
 def test_pansu_consistency_holds_on_jordan():
@@ -441,14 +466,36 @@ def test_refined_extremes_match_the_golden_section_reference(alpha, eps):
 
 
 def test_a_step_is_taken_only_if_sectional_improves(monkeypatch):
-    # the closed form finds better planes, but `sectional` reads every moved
-    # pair as no better than the start, so the pair must stay where it is
+    # the closed form finds better planes, but `_sectionals` reads every moved
+    # pair as no better than the start, so both pairs must stay where they are
     start = pinching_estimate(J3, 1.0, samples=50, seed=2, refine_sweeps=0)
-    u, v = (np.array(x) for x in start.min_pair)
-    monkeypatch.setattr(curvature, "sectional", lambda frame, a, b: 0.5)
-    k, ru, rv = curvature._refine(start.frame, u.copy(), v.copy(), True)
-    assert k == 0.5
-    assert np.array_equal(ru, u) and np.array_equal(rv, v)
+    us, vs = (np.array(x) for x in zip(start.min_pair, start.max_pair))
+    monkeypatch.setattr(curvature, "_sectionals",
+                        lambda frame, a, b: np.full(len(a), 0.5))
+    ru, rv = us.copy(), vs.copy()
+    assert curvature._refine(start.frame, ru, rv, (True, False)) == [0.5, 0.5]
+    assert np.array_equal(ru, us) and np.array_equal(rv, vs)
+
+
+@pytest.mark.parametrize("alpha", BENCH_ALPHAS.values(), ids=BENCH_ALPHAS.keys())
+def test_stacked_sectionals_equal_per_plane_calls(alpha):
+    fr = frame_matrices(alpha, 0.1)
+    # enough rows that the scalar square (pow) and a product x * x, which
+    # differ in the last bit on about 1 in 1200 values, must part somewhere
+    uv = np.random.default_rng(5).standard_normal((1000, 2, fr.n + 1))
+    u, v = uv[:, 0].copy(), uv[:, 1].copy()
+    stacked = curvature._sectionals(fr, u, v)
+    assert stacked.shape == (1000,)
+    for k, a, b in zip(stacked, u, v):
+        assert k == sectional(fr, a, b)
+        den = (a @ a) * (b @ b) - (a @ b) ** 2
+        assert k == float(curvature_tensor(fr, a, b, b) @ a) / den
+    # one degenerate row fails the whole stack, as `sectional` fails on it
+    v[17] = 2.0 * u[17]
+    with pytest.raises(PreconditionError):
+        sectional(fr, u[17], v[17])
+    with pytest.raises(PreconditionError):
+        curvature._sectionals(fr, u, v)
 
 
 # ------------------------------------------------- curvature operator --
