@@ -287,11 +287,11 @@ def _sectionals(frame: Frame, u, v):
     and the square stay per row, since a numpy scalar squares through pow
     and an array through a product, which differ in the last bit.
     """
-    num = curvature_tensor(frame, u, v, v)
+    r = curvature_tensor(frame, u, v, v)
     den = np.array([(a @ a) * (b @ b) - (a @ b) ** 2 for a, b in zip(u, v)])
     if (den <= 1e-14).any():
         raise PreconditionError("the two vectors do not span a plane")
-    return np.array([x @ a for x, a in zip(num, u)]) / den
+    return np.array([x @ a for x, a in zip(r, u)]) / den
 
 
 def sectional(frame: Frame, u, v) -> float:
@@ -346,8 +346,8 @@ def _draw_planes(rng, samples, n):
         nu = np.linalg.norm(u, axis=1)
         uhat = u / np.maximum(nu, 1e-8)[:, None]
         vperp = v - _rowdot(v, uhat)[:, None] * uhat
-        flat = (nu < 1e-8) | (np.linalg.norm(vperp, axis=1) < 1e-8)
-        bad = np.flatnonzero(flat) if bad is None else bad[flat]
+        spans_none = (nu < 1e-8) | (np.linalg.norm(vperp, axis=1) < 1e-8)
+        bad = np.flatnonzero(spans_none) if bad is None else bad[spans_none]
         if not len(bad):
             return g
         g[bad] = rng.standard_normal((len(bad), 2, n))
@@ -470,7 +470,7 @@ def pinching_estimate(alpha, eps, samples=2000, seed=0, refine_sweeps=3) -> Curv
     rng = np.random.default_rng(seed)
     n1 = frame.n + 1
     g = _draw_planes(rng, samples, n1)
-    # an overflow shows as a non-finite extreme, which is rejected below
+    # an overflow shows as a non-finite extreme or residual, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         k = _plane_curvatures(frame, g)
         ends = (int(np.argmin(k)), int(np.argmax(k)))
