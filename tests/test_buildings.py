@@ -157,3 +157,38 @@ def test_equal_cdim_search_checks_the_bound_without_a_pair_to_try():
             equal_cdim_search(p_max, 2, 999)
         with pytest.raises(InputError):
             equal_cdim_search(p_max, 2, 0)
+
+
+def _reference_search(p_max, q_max, bound):
+    """The loop over ordered parameter pairs, one _reference_tyson each."""
+    params = [(p, q) for p in range(5, p_max + 1) for q in range(2, q_max + 1)]
+    hits = []
+    for a, (p, q) in enumerate(params):
+        for p2, q2 in params[a + 1:]:
+            if q == 2 and q2 == 2 and p != p2:
+                continue
+            witnesses = _reference_tyson(p, q, p2, q2, bound)
+            if witnesses:
+                hits.append((p, q, p2, q2, tuple(witnesses)))
+    return hits
+
+
+@pytest.mark.parametrize("p_max, q_max, bound", [(20, 6, 4), (12, 8, 6), (9, 9, 12)])
+def test_equal_cdim_search_matches_the_pair_loop(p_max, q_max, bound):
+    hits = equal_cdim_search(p_max, q_max, bound)
+    got = [(h.p, h.q, h.p2, h.q2, h.witnesses) for h in hits]
+    assert got == _reference_search(p_max, q_max, bound)
+    for h in hits:
+        assert h.cdim == building_cdim(h.p, h.q).value
+        assert h.cdim2 == building_cdim(h.p2, h.q2).value
+
+
+def test_equal_cdim_search_at_the_top_of_the_range():
+    hits = equal_cdim_search(MAX_BOUND, MAX_BOUND, MAX_BOUND)
+    assert hits
+    keys = [(h.p, h.q, h.p2, h.q2) for h in hits]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    for h in hits:
+        assert list(h.witnesses) == _reference_tyson(h.p, h.q, h.p2, h.q2, MAX_BOUND)
+        assert abs(h.cdim - h.cdim2) <= 1e-9
+        assert not (h.q == 2 and h.q2 == 2 and h.p != h.p2)
