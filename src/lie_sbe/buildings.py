@@ -32,6 +32,14 @@ def _chebyshev_values(x: Fraction):
         prev, cur = cur, 2 * x * cur - prev
 
 
+def _doubled_chebyshev_values(y: int):
+    """2 T_k(y/2) for k = 0, 1, 2, ...: integers, by the same recurrence."""
+    prev, cur = 2, y
+    while True:
+        yield prev
+        prev, cur = cur, y * cur - prev
+
+
 def chebyshev(k: int, x) -> Fraction:
     """First-kind Chebyshev value T_k(x), exact."""
     if k < 0:
@@ -70,6 +78,26 @@ def _check_bound(bound):
         raise InputError("bound must be between 1 and %d, got %r" % (MAX_BOUND, bound))
 
 
+def _chebyshev_pair(p: int, p2: int, bound: int):
+    """The first (m, n) with 1 <= m, n <= bound and
+
+        T_m((p2 - 2)/2) = T_n((p - 2)/2)
+
+    exactly, or None.  One merge of the two increasing sequences, doubled so
+    that they stay integers.
+    """
+    ts = _doubled_chebyshev_values(p - 2)
+    n, t = 0, next(ts)
+    for m, t2 in enumerate(islice(_doubled_chebyshev_values(p2 - 2), 1, bound + 1), 1):
+        while t < t2 and n < bound:
+            n, t = n + 1, next(ts)
+        if t == t2:
+            return m, n
+        if t < t2:
+            return None
+    return None
+
+
 def tyson_identities(p: int, q: int, p2: int, q2: int, bound: int):
     """The primitive pair (m, n) with 1 <= m, n <= bound satisfying both
 
@@ -87,16 +115,11 @@ def tyson_identities(p: int, q: int, p2: int, q2: int, bound: int):
     _check_params(p, q)
     _check_params(p2, q2)
     _check_bound(bound)
-    ts = _chebyshev_values(Fraction(p - 2, 2))
-    n, t = 0, next(ts)
-    for m, t2 in enumerate(islice(_chebyshev_values(Fraction(p2 - 2, 2)), 1, bound + 1), 1):
-        while t < t2 and n < bound:
-            n, t = n + 1, next(ts)
-        if t == t2:
-            return [(m, n)] if (q2 - 1) ** m == (q - 1) ** n else []
-        if t < t2:
-            break
-    return []
+    pair = _chebyshev_pair(p, p2, bound)
+    if pair is None:
+        return []
+    m, n = pair
+    return [pair] if (q2 - 1) ** m == (q - 1) ** n else []
 
 
 @dataclass(frozen=True)
@@ -124,21 +147,28 @@ def equal_cdim_search(p_max: int, q_max: int, bound: int):
         raise InputError("p_max must be between 5 and %d, got %r" % (MAX_BOUND, p_max))
     if not (2 <= q_max <= MAX_BOUND):
         raise InputError("q_max must be between 2 and %d, got %r" % (MAX_BOUND, q_max))
-    params = [(p, q) for p in range(5, p_max + 1) for q in range(2, q_max + 1)]
+    # the Chebyshev pair depends on (p, p2) only: walk it once per p <= p2,
+    # then test the power identity on every (q, q2) of that p-pair, in the
+    # (p, q, p2, q2) order of the hits
+    qs = range(2, q_max + 1)
     hits = []
-    for a, (p, q) in enumerate(params):
-        for p2, q2 in params[a + 1:]:
-            if q == 2 and q2 == 2 and p != p2:
-                continue
-            witnesses = tyson_identities(p, q, p2, q2, bound)
-            if not witnesses:
-                continue
-            c1 = building_cdim(p, q).value
-            c2 = building_cdim(p2, q2).value
-            if abs(c1 - c2) > 1e-9:
-                raise LieSbeError(
-                    "witnessed pair (%d,%d)/(%d,%d) has mismatched values %r, %r"
-                    % (p, q, p2, q2, c1, c2)
-                )
-            hits.append(SearchHit(p, q, p2, q2, tuple(witnesses), c1, c2))
+    for p in range(5, p_max + 1):
+        pairs = [(p2, pair) for p2 in range(p, p_max + 1)
+                 if (pair := _chebyshev_pair(p, p2, bound)) is not None]
+        for q in qs:
+            for p2, (m, n) in pairs:
+                power = (q - 1) ** n
+                for q2 in qs:
+                    if (p2, q2) <= (p, q) or (q == 2 and q2 == 2 and p != p2):
+                        continue
+                    if (q2 - 1) ** m != power:
+                        continue
+                    c1 = building_cdim(p, q).value
+                    c2 = building_cdim(p2, q2).value
+                    if abs(c1 - c2) > 1e-9:
+                        raise LieSbeError(
+                            "witnessed pair (%d,%d)/(%d,%d) has mismatched values %r, %r"
+                            % (p, q, p2, q2, c1, c2)
+                        )
+                    hits.append(SearchHit(p, q, p2, q2, ((m, n),), c1, c2))
     return hits
