@@ -120,6 +120,19 @@ def _numeric_kernel_dims(b, total):
 
 
 def _layout_numeric(af, n, real_blocks=None, certified=False) -> FrameLayout:
+    # an alpha whose square overflows, or whose eigenvalues or ranks do not
+    # converge, is too large to lay out in floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = af @ af
+        if not np.isfinite(square).all():
+            raise PreconditionError("the frame layout overflows on this alpha")
+        try:
+            return _float_blocks(af, square, n, real_blocks, certified)
+        except np.linalg.LinAlgError as e:
+            raise PreconditionError("the frame layout does not converge: %s" % e) from None
+
+
+def _float_blocks(af, square, n, real_blocks, certified) -> FrameLayout:
     eigs = np.linalg.eigvals(af)
     if any(abs(z.real - 1.0) > 1e-9 for z in eigs):
         raise PreconditionError("uneven real parts in the spectrum")
@@ -139,7 +152,7 @@ def _layout_numeric(af, n, real_blocks=None, certified=False) -> FrameLayout:
     complex_blocks = []
     for group in clusters:
         tau = float(sum(group) / len(group))  # a Python float, not a numpy scalar
-        b = af @ af - 2.0 * af + (1.0 + tau * tau) * np.eye(n)
+        b = square - 2.0 * af + (1.0 + tau * tau) * np.eye(n)
         dims = _numeric_kernel_dims(b, 2 * len(group))
         for d in _sizes_from_kernel_dims(dims, step=2):
             complex_blocks.append((tau, d))
@@ -208,6 +221,8 @@ def frame_matrices(alpha, eps: float) -> Frame:
         layout = _layout_numeric(a / mean, n)
     else:
         layout = _layout_exact(tuple(tuple(x / mean for x in row) for row in a))
+    if sum(layout.real_blocks) + 2 * sum(d for _, d in layout.complex_blocks) != n:
+        raise PreconditionError("layout does not fill the space")
     blocks = []
     for tau, d in sorted((b for b in layout.complex_blocks if b[1] >= 2),
                          key=lambda b: (-b[1], b[0])):
@@ -234,8 +249,6 @@ def frame_matrices(alpha, eps: float) -> Frame:
         k = blk.shape[0]
         m[off:off + k, off:off + k] = blk
         off += k
-    if off != n:
-        raise PreconditionError("layout does not fill the space")
     d_sym = (m + m.T) / 2.0
     s_skew = (m - m.T) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -238,6 +238,29 @@ def test_an_overflowing_eps_is_rejected_without_warnings(eps, what):
     assert all(map(math.isfinite, (rep.sec_min, rep.sec_max, rep.bianchi_max)))
 
 
+@pytest.mark.parametrize("tau, message", [
+    (1e100, "layout does not fill the space"),
+    (1e200, "the frame layout overflows on this alpha"),
+])
+def test_a_huge_float_rotation_is_rejected_without_warnings(tau, message):
+    # tau^2 = 1e200 is finite but swamps the rank test, which then lays out
+    # a 4-row block for a 2 x 2 alpha; at tau = 1e200, alpha @ alpha overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="^%s$" % re.escape(message)):
+            frame_matrices([[1.0, -tau], [tau, 1.0]], 0.1)
+
+
+def test_a_float_layout_that_does_not_converge_is_a_precondition_error(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(PreconditionError,
+                       match="^the frame layout does not converge: Eigenvalues did not converge$"):
+        frame_matrices([[1.0, -2.0], [2.0, 1.0]], 0.1)
+
+
 def test_pansu_consistency_holds_on_jordan():
     p = pansu_consistency([[1, 1], [0, 1]], 0.1, samples=300, seed=3)
     assert p.holds
