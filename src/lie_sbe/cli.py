@@ -17,24 +17,11 @@ import os
 import signal
 import sys
 
+# Each command imports the layers it calls, so a process compiles and runs
+# only those (numpy only for `pinch`).
 from . import jsonio
-from .buildings import building_cdim, equal_cdim_search, tyson_identities
-from .catalog import catalog, catalog_names
-from .cohomology import adjoint_h_dim, betti_numbers, cohomology_basis
-from .deformation import (
-    apply_family,
-    contraction_limit,
-    cornulier_reduction,
-    h2c_certificate,
-    lauret_certificate,
-    modification,
-    semicontinuity_obstruction,
-    spectral_obstruction,
-)
 from .errors import DivergentFamily, InputError, LieSbeError
-from .heintze import classify_hyperbolic, table2_report
 from .jsonio import matrix_from_list, to_wire
-from .laws import check_jacobi, fingerprint
 
 
 def _ft(x: float) -> str:
@@ -52,6 +39,8 @@ def _external_catalog_file(name: str):
 
 
 def _catalog_lookup(name: str):
+    from .catalog import catalog
+
     path = _external_catalog_file(name)
     if path is None:
         return catalog(name)
@@ -60,6 +49,8 @@ def _catalog_lookup(name: str):
 
 
 def load_law(ref: str, skip_validate: bool = False):
+    from .laws import check_jacobi
+
     if ref.startswith("catalog:"):
         law = _catalog_lookup(ref[len("catalog:"):])
     else:
@@ -97,6 +88,8 @@ def _family_arg(text: str, dim: int):
 # ---------------------------------------------------------------- commands --
 
 def cmd_check(args):
+    from .laws import check_jacobi, fingerprint
+
     law = load_law(args.law, skip_validate=True)
     rep = check_jacobi(law)
     fp = fingerprint(law) if rep.ok else None
@@ -122,6 +115,8 @@ def cmd_check(args):
 
 
 def cmd_cohomology(args):
+    from .cohomology import adjoint_h_dim, betti_numbers, cohomology_basis
+
     law = load_law(args.law, args.skip_validate)
     q = args.degree
     if not 0 <= q <= law.dim:
@@ -140,6 +135,8 @@ def cmd_cohomology(args):
 
 
 def cmd_contract(args):
+    from .deformation import apply_family, contraction_limit
+
     law = load_law(args.law, args.skip_validate)
     fam = _family_arg(args.family, law.dim)
     try:
@@ -165,6 +162,8 @@ def cmd_contract(args):
 
 
 def cmd_obstruct(args):
+    from .deformation import semicontinuity_obstruction, spectral_obstruction
+
     source = load_law(args.source, args.skip_validate)
     target = load_law(args.target, args.skip_validate)
     semi = semicontinuity_obstruction(source, target)
@@ -195,6 +194,8 @@ def cmd_obstruct(args):
 
 
 def cmd_certify(args):
+    from .deformation import h2c_certificate, lauret_certificate
+
     law = load_law(args.law, args.skip_validate)
     method = "lauret" if args.lauret else "h2c"
     cert = lauret_certificate(law) if args.lauret else h2c_certificate(law)
@@ -211,6 +212,8 @@ def cmd_certify(args):
 
 
 def cmd_reduce(args):
+    from .deformation import cornulier_reduction
+
     law = load_law(args.law, args.skip_validate)
     data = _json_arg(args.cartan)
     if not isinstance(data, list) or not data:
@@ -231,6 +234,8 @@ def cmd_reduce(args):
 
 
 def cmd_modify(args):
+    from .deformation import modification
+
     law = load_law(args.law, args.skip_validate)
     torus_data = _json_arg(args.torus)
     if not isinstance(torus_data, list) or not torus_data:
@@ -248,6 +253,8 @@ def cmd_modify(args):
 
 
 def cmd_classify(args):
+    from .heintze import classify_hyperbolic
+
     law = load_law(args.law, args.skip_validate)
     v = classify_hyperbolic(law)
     payload = {"source": args.law, **to_wire(v)}
@@ -262,6 +269,8 @@ def cmd_classify(args):
 
 
 def cmd_table2(args):
+    from .heintze import table2_report
+
     rep = table2_report()
     blocks = [
         [
@@ -309,7 +318,6 @@ def _alpha_arg(spec: str):
 
 
 def cmd_pinch(args):
-    # the float layer, and numpy with it, is loaded only by this command
     from .curvature import pansu_consistency, pinching_estimate
 
     alpha = _alpha_arg(args.alpha)
@@ -336,6 +344,8 @@ def cmd_pinch(args):
 
 
 def cmd_buildings(args):
+    from .buildings import building_cdim, equal_cdim_search, tyson_identities
+
     given = [x is not None for x in (args.p, args.q, args.p2, args.q2)]
     if args.search is not None:
         if any(given) or args.bound is not None:
@@ -381,6 +391,8 @@ def cmd_buildings(args):
 
 
 def cmd_catalog(args):
+    from .catalog import catalog_names
+
     if args.action == "list":
         names = list(catalog_names())
         base = os.environ.get("LIE_SBE_CATALOG")

@@ -13,13 +13,16 @@ import dataclasses
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 
-from .cohomology import Cochain
-from .deformation import ScalingFamily
 from .errors import InputError
 from .laws import LieLaw
 
+# A value can be a Cochain or a ScalingFamily only once its module is loaded,
+# so _wire looks those modules up instead of importing them.
+_COHOMOLOGY = __package__ + ".cohomology"
+_DEFORMATION = __package__ + ".deformation"
 _SCALAR_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
 
@@ -62,9 +65,11 @@ def to_wire(value, *fields):
 def _wire(value):
     if isinstance(value, LieLaw):
         return law_to_dict(value)
-    if isinstance(value, ScalingFamily):
+    deformation = sys.modules.get(_DEFORMATION)
+    if deformation is not None and isinstance(value, deformation.ScalingFamily):
         return family_to_dict(value)
-    if isinstance(value, Cochain):
+    cohomology = sys.modules.get(_COHOMOLOGY)
+    if cohomology is not None and isinstance(value, cohomology.Cochain):
         return cochain_to_dict(value)
     if isinstance(value, Fraction):
         return format_scalar(value)
@@ -172,6 +177,8 @@ def family_to_dict(family) -> dict:
 
 
 def family_from_dict(data, dim=None):
+    from .deformation import ScalingFamily
+
     w_raw = _require(data, "w", "scaling family")
     if not isinstance(w_raw, list) or not w_raw:
         raise InputError("scaling family w must be a non-empty list")
@@ -204,6 +211,8 @@ def cochain_to_dict(c) -> dict:
 
 
 def cochain_from_dict(data):
+    from .cohomology import Cochain
+
     module = _require(data, "module", "cochain")
     if module not in ("trivial", "adjoint"):
         raise InputError("cochain module must be 'trivial' or 'adjoint', got %r" % (module,))

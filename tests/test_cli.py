@@ -270,14 +270,12 @@ def test_pinch_with_infinite_eps_is_exit_3(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-_BAD_FLOAT_PROBE = """
+_PINCH_PROBE = """
 import contextlib, io, json
 from lie_sbe import cli
 
 report = []
-for argv in (["--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--seed", "-1"],
-             ["--eps", "1", "--alpha", "[[1e400]]"],
-             ["--alpha", "[[1,1],[0,1]]", "--eps", "1e200", "--samples", "20", "--pansu"]):
+for argv in json.loads(%r):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(["pinch"] + argv)
@@ -286,12 +284,35 @@ print(json.dumps(report))
 """
 
 
+def _pinch_report(fresh_python, *argvs):
+    """(code, stdout, stderr) of each `pinch` argv, run in one fresh
+    interpreter so that numpy's warnings reach stderr unfiltered."""
+    return json.loads(fresh_python(_PINCH_PROBE % json.dumps(argvs)))
+
+
 def test_pinch_with_a_bad_seed_or_non_finite_floats_is_exit_3(fresh_python):
-    # a fresh interpreter, so that numpy's warnings reach stderr unfiltered
-    assert json.loads(fresh_python(_BAD_FLOAT_PROBE)) == [
+    assert _pinch_report(
+        fresh_python,
+        ["--alpha", "[[1,1],[0,1]]", "--eps", "0.1", "--seed", "-1"],
+        ["--eps", "1", "--alpha", "[[1e400]]"],
+        ["--alpha", "[[1,1],[0,1]]", "--eps", "1e200", "--samples", "20", "--pansu"],
+    ) == [
         [3, "", "error: seed must be a non-negative integer, got -1\n"],
         [3, "", "error: alpha must have finite entries\n"],
         [3, "", "error: the curvature frame overflows at eps 1e+200\n"],
+    ]
+
+
+def test_pinch_with_a_huge_float_rotation_is_exit_3(fresh_python):
+    # at 1e100 the rank test drowns in rounding and lays out too many rows;
+    # at 1e200, alpha @ alpha overflows
+    assert _pinch_report(
+        fresh_python,
+        ["--alpha", "[[1,-1e100],[1e100,1]]", "--eps", "0.1"],
+        ["--alpha", "[[1,-1e200],[1e200,1]]", "--eps", "0.1", "--pansu"],
+    ) == [
+        [3, "", "error: layout does not fill the space\n"],
+        [3, "", "error: the frame layout overflows on this alpha\n"],
     ]
 
 
@@ -503,3 +524,98 @@ def test_numpy_is_loaded_only_by_the_float_commands(fresh_python):
     assert report["numpy_after"] is True
     with open(os.path.join(GOLDEN, "readme_pinch.out"), "rb") as fh:
         assert report["pinch_out"].encode("utf-8") == fh.read()
+
+
+# Every public name `lie_sbe` exported before its names were resolved lazily:
+# the functions and classes that `from lie_sbe import *` bound, and the
+# curvature names that were already resolved on first use.
+_STAR_NAMES = (
+    "AlgebraFingerprint", "BoundaryInvariants", "CdimValue", "Certificate",
+    "ClassificationVerdict", "Cochain", "DivergentFamily", "ExpandabilityReport",
+    "GradedResult", "HeintzeData", "InputError", "JacobiReport", "LieLaw", "LieSbeError",
+    "ModificationResult", "ObstructionReport", "PreconditionError", "ReductionResult",
+    "ScalingFamily", "SearchHit", "SpectralReport", "Table2Report", "TorusReport",
+    "TraitReport", "adjoint_h_dim", "amalgam", "apply_differential", "apply_family",
+    "basis_change", "betti_numbers", "boundary_invariants", "building_cdim", "catalog",
+    "catalog_names", "center", "chebyshev", "check_jacobi", "class_weight",
+    "classify_cochain", "classify_hyperbolic", "cochain_basis", "cohomology_basis",
+    "composition_is_zero", "contraction_limit", "cornulier_reduction", "cup_product",
+    "cup_square_rank", "derivations", "derived_series", "differential", "direct_sum",
+    "equal_cdim_search", "exponential_radical", "fingerprint", "graded_nilpotent",
+    "h2c_certificate", "heintze_check", "heintze_traits", "is_completely_solvable",
+    "is_derivation", "is_ideal", "is_nilpotent", "is_solvable", "lauret_certificate",
+    "law_add", "law_dumps", "law_from_table", "law_in_basis", "law_loads", "law_scale",
+    "linear_expandability", "lower_central_series", "modification",
+    "normalize_derivation", "quotient_law", "semicontinuity_obstruction",
+    "semidirect_rank_one", "spectral_obstruction", "spectral_summary", "subalgebra_law",
+    "table2_report", "torus_check", "tyson_identities", "wedge",
+)
+_CURVATURE_NAMES = (
+    "CurvatureReport", "Frame", "PansuReport", "alpha_from_law", "curvature_tensor",
+    "frame_matrices", "pansu_consistency", "pinching_estimate", "sectional",
+)
+
+_IMPORT_PROBE = """
+import contextlib, inspect, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("lie_sbe.") or m == "numpy")
+
+import lie_sbe
+report = {"import": loaded()}
+names = {}
+exec("from lie_sbe import *", names)
+report["star"] = loaded()
+report["star_names"] = sorted(k for k, v in names.items()
+                              if inspect.isfunction(v) or inspect.isclass(v))
+import lie_sbe.catalog
+report["catalog_is_function"] = inspect.isfunction(lie_sbe.catalog)
+report["dir"] = dir(lie_sbe)
+print(json.dumps(report))
+"""
+
+_BUILDINGS_PROBE = """
+import contextlib, io, json, sys
+from lie_sbe import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["buildings", "--p", "5", "--q", "2"])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("lie_sbe."))]))
+"""
+
+
+def test_import_lie_sbe_loads_no_layer_it_does_not_need(fresh_python):
+    report = json.loads(fresh_python(_IMPORT_PROBE))
+    heavy = {"lie_sbe.cohomology", "lie_sbe.deformation", "lie_sbe.heintze",
+             "lie_sbe.buildings", "lie_sbe.curvature", "numpy"}
+    assert heavy.isdisjoint(report["import"])
+    # the star import resolves every name but the curvature ones
+    assert "numpy" not in report["star"]
+    assert set(report["star_names"]) >= set(_STAR_NAMES)
+    # `catalog` names a function and a module; the package keeps the function
+    assert report["catalog_is_function"] is True
+    assert set(report["dir"]) >= set(_STAR_NAMES + _CURVATURE_NAMES)
+
+
+def test_a_buildings_command_loads_only_its_own_layer(fresh_python):
+    code, modules = json.loads(fresh_python(_BUILDINGS_PROBE))
+    assert code == 0
+    assert "lie_sbe.buildings" in modules
+    assert not {"lie_sbe.cohomology", "lie_sbe.deformation", "lie_sbe.heintze",
+                "lie_sbe.curvature"} & set(modules)
+
+
+def test_every_package_name_is_the_one_on_its_module():
+    import importlib
+
+    import lie_sbe
+
+    names = set(lie_sbe._MODULE_OF) | {"catalog", "catalog_names"}
+    assert names >= set(_STAR_NAMES + _CURVATURE_NAMES)
+    assert set(lie_sbe.__all__) == {n for n in names if lie_sbe._MODULE_OF.get(n) != "curvature"}
+    for name, module in lie_sbe._MODULE_OF.items():
+        mod = importlib.import_module("lie_sbe." + module)
+        assert getattr(lie_sbe, name) is getattr(mod, name), name
+    assert lie_sbe.catalog is importlib.import_module("lie_sbe.catalog").catalog
+    with pytest.raises(AttributeError):
+        lie_sbe.no_such_name
