@@ -9,6 +9,7 @@ from lie_sbe.catalog import catalog_names
 from lie_sbe.cohomology import (
     Cochain,
     Differential,
+    _carrier,
     _differential_cached,
     _weight0_keys,
     _weights,
@@ -151,6 +152,52 @@ def test_differential_with_fractional_constants():
                 d = differential(law, q, module)
                 assert d == _reference_differential(law, q, module)
                 _assert_canonical(d)
+
+
+def _reference_block(law, q, module, weights):
+    """_reference_differential restricted to the weight-0 keys of `weights`."""
+    full = _reference_differential(law, q, module)
+    cols, rows = _weight0_keys(weights, q, module), _weight0_keys(weights, q + 1, module)
+    col_at = {key: i for i, key in enumerate(cols)}
+    row_at = {key: i for i, key in enumerate(rows)}
+    entries = tuple((row_at[full.rows[r]], col_at[full.cols[c]], v) for r, c, v in full.entries
+                    if full.rows[r] in row_at and full.cols[c] in col_at)
+    return Differential(rows=tuple(rows), cols=tuple(cols), entries=entries)
+
+
+def test_a_differential_built_after_another_law_of_its_dimension_matches_the_reference():
+    # the index keys and offsets of a degree are shared by every law of that
+    # dimension (and weights); each law below is built right after another
+    _differential_cached.cache_clear()
+    b2c = catalog("b(2,C)")
+    groups = [[catalog(name) for name in ("b(4,R)", "l_4_3", "s_prime", "s_second")],
+              [catalog(name) for name in ("l_6_13", "l_6_6", "b(3,C)")],
+              [b2c, catalog("h2c_solvable"), law_in_basis(b2c, diagonal(2, 1, 1, 1))]]
+    for laws in groups:
+        for module in ("trivial", "adjoint"):
+            for q in range(laws[0].dim + 1):
+                for law in laws:
+                    assert differential(law, q, module) == _reference_differential(law, q, module)
+    weights = _weights(b2c)
+    assert all(_weights(law) == weights for law in groups[2])
+    for module in ("trivial", "adjoint"):
+        for q in range(5):
+            for law in groups[2]:
+                block = _differential_cached(law, q, module, weights)
+                assert block == _reference_block(law, q, module, weights)
+
+
+@pytest.mark.parametrize("name", [n for n in catalog_names() if catalog(n).dim <= 8])
+def test_rank_of_the_rows_equals_rank_of_the_columns(name):
+    base = catalog(name)
+    for law in (base, _unimodular_copy(base, base.dim, 2 * base.dim)):
+        weights = _weights(law)
+        # the sheared dim-8 adjoint complexes take seconds per degree
+        modules = ("trivial", "adjoint") if weights is not None or law.dim <= 6 else ("trivial",)
+        for module in modules:
+            for q in range(law.dim + 1):
+                d = _carrier(law, q, module, weights)
+                assert rank(d.sparse_rows()) == rank(d.sparse_cols())
 
 
 def test_cochain_validation():

@@ -225,6 +225,66 @@ def test_dict_rows_and_independent_match_the_references():
         assert independent(rows, identity(c)) == _ref_extend_to_basis(m, c)
 
 
+def _kernel_cases(count=300, seed=23):
+    """(rows, ambient) pairs: Fraction matrices of 1-8 x 1-8 at densities 0.2,
+    0.5 and 0.9, every other one as {column: value} dicts, plus zero and
+    full-rank matrices and an empty row list."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        density = (0.2, 0.5, 0.9)[k % 3]
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        m = [[Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 4)), rng.choice((1, 1, 2, 3)))
+              if rng.random() < density else Fraction(0) for _ in range(c)] for _ in range(r)]
+        if r >= 3 and k % 9 < 3:
+            i, j = rng.sample(range(r - 1), 2)
+            m[-1] = [2 * x - Fraction(1, 3) * y for x, y in zip(m[i], m[j])]
+        out.append((m, c))
+    for n in range(1, 9):
+        out.append(([[Fraction(0)] * n for _ in range(n)], n))
+        out.append((_rand_invertible(rng, n), n))
+        out.append(([], n))
+    return [([{j: x for j, x in enumerate(row) if x} for row in m] if k % 2 else m, n)
+            for k, (m, n) in enumerate(out)]
+
+
+def _ref_kernel(m, n):
+    """The RREF basis of the right kernel, from the dense references."""
+    dense = [[row.get(j, Fraction(0)) for j in range(n)] if isinstance(row, dict) else row
+             for row in m]
+    rows, pivots = _ref_rref(_ref_nullspace(dense) if dense else identity(n))
+    return Subspace(n, tuple(tuple(row) for row in rows), tuple(pivots))
+
+
+def test_kernel_is_the_span_of_the_nullspace():
+    cases = _kernel_cases()
+    assert len(cases) >= 300
+    for m, n in cases:
+        expect = Subspace.span(n, nullspace(m, cols=n))
+        assert expect == _ref_kernel(m, n)
+
+
+def test_det_with_large_coprime_denominators_and_singular_matrices():
+    rng = random.Random(24)
+    primes = [p for p in range(999_000, 1_000_000) if all(p % d for d in range(2, 1000))]
+    for trial in range(120):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes)) for _ in range(n)]
+             for _ in range(n)]
+        singular = trial % 3 and n >= 2
+        if singular:
+            # a row, or a column, that is a multiple of another
+            i, j = rng.sample(range(n), 2)
+            f = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.choice(primes))
+            if trial % 3 == 1:
+                m[j] = [f * x for x in m[i]]
+            else:
+                for row in m:
+                    row[j] = f * row[i]
+        assert det(m) == _ref_det(m)
+        assert (det(m) == 0) == singular
+
+
 def _signed_permutation_copy(law, seed):
     rng = random.Random(seed)
     n = law.dim
