@@ -9,6 +9,7 @@ negative exponents die, zero exponents persist, positive exponents diverge.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -286,9 +287,7 @@ def spectral_obstruction(source: LieLaw, target: LieLaw) -> SpectralReport:
         return SpectralReport("not_obstructed", "both actions are nilpotent", tuple(p), tuple(q))
     exps = [d - k for k in support_p]
     ratios = {d - k: q[k] / p[k] for k in support_p}
-    g = 0
-    for e in exps:
-        g = _gcd(g, e)
+    g = math.gcd(*exps)
     # Bezout combination of the exponents realizes c^g as a known rational
     rho = _bezout_power(ratios, exps, g)
     if g % 2 == 0 and rho < 0:
@@ -309,12 +308,6 @@ def spectral_obstruction(source: LieLaw, target: LieLaw) -> SpectralReport:
         "characteristic polynomials agree up to the scaling c with c^%d = %s" % (g, rho),
         tuple(p), tuple(q),
     )
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _bezout_power(ratios, exps, g):

@@ -2,13 +2,15 @@
 
 Matrices are lists of rows, vectors are flat lists; entries are Fraction.
 Everything here is exact; no floating point.  All elimination (rank, rref,
-det, independent) runs through one sparse incremental echelon, so the row
-arguments of those functions may also be {column: value} dicts.
+det, independent, nullspace, solve) runs through one sparse incremental
+echelon on primitive integer rows, so the row arguments of those functions
+may also be {column: value} dicts; a result divides once per output entry.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -128,38 +130,56 @@ def mat_pow(m: Mat, k: int) -> Mat:
     return out
 
 
-def _sparse(row) -> dict:
-    """A dense row or a {column: value} dict, as a new dict of its nonzeros."""
+def _integer_row(row) -> tuple:
+    """A dense row or a {column: value} dict as ({column: int} of its nonzeros,
+    d): the row times the lcm d of its denominators."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {j: frac(x) for j, x in items if x != 0}
+    nz = {j: frac(x) for j, x in items if x}
+    d = math.lcm(*[x.denominator for x in nz.values()])
+    if d == 1:
+        return {j: x.numerator for j, x in nz.items()}, 1
+    return {j: x.numerator * (d // x.denominator) for j, x in nz.items()}, d
 
 
-def _subtract(row: dict, f, other: dict) -> None:
-    """row -= f * other, in place, dropping the entries that cancel."""
+def _clear(row: dict, c, other: dict) -> int:
+    """Clear column c of the integer row, in place, by row = (p/g) row - (a/g)
+    other, with p = other[c] > 0, a = row[c] and g = gcd(p, a); entries that
+    cancel are dropped.  Returns the factor p/g applied to row."""
+    p, a = other[c], row[c]
+    g = math.gcd(p, a)
+    f = p // g
+    if f != 1:
+        for j in row:
+            row[j] *= f
+    a //= g
     for j, x in other.items():
-        y = row.get(j, 0) - f * x
+        y = row.get(j, 0) - a * x
         if y:
             row[j] = y
         else:
-            row.pop(j, None)
+            del row[j]
+    return f
 
 
 def _insert(basis: dict, row: dict):
-    """Reduce row (consumed) by basis = {pivot column: row scaled to 1 there}.
+    """Reduce the integer row (consumed) by basis = {pivot column: primitive
+    integer row, positive at its pivot}.
 
-    A nonzero remainder joins basis at its first column; the return value is
-    that column and the remainder's value there, or None when row lies in the
-    span.  A basis row is zero left of its pivot and at every pivot older
-    than it, so eliminating in increasing column order only fills in columns
-    to the right of the one just cleared.
+    A nonzero remainder joins basis at its first column, divided by its
+    content; the return value is that column, the remainder's value there and
+    the product of the factors that _clear applied to row, or None when row
+    lies in the span.  A basis row is zero left of its pivot and at every
+    pivot older than it, so eliminating in increasing column order only fills
+    in columns to the right of the one just cleared.
     """
     hits = [c for c in row if c in basis]
     heapq.heapify(hits)
+    scale = 1
     while hits:
         c = heapq.heappop(hits)
         if c in row:
             other = basis[c]
-            _subtract(row, row[c], other)
+            scale *= _clear(row, c, other)
             for j in other:
                 if j in row and j in basis:
                     heapq.heappush(hits, j)
@@ -167,19 +187,65 @@ def _insert(basis: dict, row: dict):
         return None
     p = min(row)
     v = row[p]
-    basis[p] = {j: x / v for j, x in row.items()}
-    return p, v
+    g = math.gcd(*row.values())
+    if v < 0:
+        g = -g
+    basis[p] = {j: x // g for j, x in row.items()} if g != 1 else row
+    return p, v, scale
 
 
 def _echelon(rows) -> dict:
     basis = {}
     for row in rows:
-        _insert(basis, _sparse(row))
+        _insert(basis, _integer_row(row)[0])
     return basis
 
 
+def _reduced(basis: dict) -> list:
+    """(pivot, row) per basis row in pivot order, each row cleared at every
+    other pivot: the RREF, with row i scaled by its pivot value.
+
+    Back-substitutes from the last pivot on the integers: the rows of later
+    pivots are already reduced, so each one clears its pivot without filling
+    in another.  The rows of basis are changed in place.
+    """
+    pivots = sorted(basis)
+    for p in reversed(pivots):
+        row = basis[p]
+        for c in [c for c in row if c != p and c in basis]:
+            _clear(row, c, basis[c])
+    return [(p, basis[p]) for p in pivots]
+
+
+def _kernel_vectors(rows, n: int) -> dict:
+    """{free column f: e_f - sum_i r_{i,f} e_{p_i}} over the RREF r of rows,
+    with p_i its pivots: the kernel vector of each free column."""
+    reduced = _reduced(_echelon(rows))
+    pivots = {p for p, _ in reduced}
+    out = {}
+    for f in range(n):
+        if f not in pivots:
+            v = out[f] = zero_vec(n)
+            v[f] = Fraction(1)
+    for p, row in reduced:
+        v = row[p]
+        for j, x in row.items():
+            if j != p:
+                out[j][p] = Fraction(-x, v)
+    return out
+
+
 def _width(m, cols) -> int:
-    return cols if cols is not None else (len(m[0]) if m else 0)
+    """The column count of m: `cols`, which dict rows need and whose keys it
+    bounds, or else the length of the first dense row."""
+    if cols is None:
+        if any(isinstance(row, dict) for row in m):
+            raise ValueError("dict rows need the column count `cols`")
+        return len(m[0]) if m else 0
+    for row in m:
+        if isinstance(row, dict) and row and (min(row) < 0 or max(row) >= cols):
+            raise ValueError("a dict row has a column outside 0..%d" % (cols - 1))
+    return cols
 
 
 def rank(m) -> int:
@@ -191,7 +257,7 @@ def independent(base, candidates) -> list:
     """The candidates outside the span of base and of the candidates kept
     before them, in order."""
     basis = _echelon(base)
-    return [v for v in candidates if _insert(basis, _sparse(v)) is not None]
+    return [v for v in candidates if _insert(basis, _integer_row(v)[0]) is not None]
 
 
 def rref(m, cols: int | None = None):
@@ -201,32 +267,21 @@ def rref(m, cols: int | None = None):
     {column: value} dicts, which need the width `cols`; the result is dense.
     """
     n = _width(m, cols)
-    basis = _echelon(m)
-    pivots = sorted(basis)
-    # back-substitute from the last pivot: the rows of later pivots are
-    # already reduced, so each one clears its pivot without filling in another
-    for p in reversed(pivots):
-        row = basis[p]
-        for q in [c for c in row if c != p and c in basis]:
-            _subtract(row, row[q], basis[q])
-    return [[basis[p].get(j, _ZERO) for j in range(n)] for p in pivots], pivots
+    out, pivots = [], []
+    for p, row in _reduced(_echelon(m)):
+        v = row[p]
+        dense = [_ZERO] * n
+        for j, x in row.items():
+            dense[j] = Fraction(x, v)
+        out.append(dense)
+        pivots.append(p)
+    return out, pivots
 
 
 def nullspace(m, cols: int | None = None) -> list:
     """Basis of the right kernel, one vector per free column of the RREF."""
-    n = _width(m, cols)
-    r, pivots = rref(m, cols=n)
-    pivset = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivset:
-            continue
-        v = zero_vec(n)
-        v[free] = Fraction(1)
-        for row_i, pc in enumerate(pivots):
-            v[pc] = -r[row_i][free]
-        basis.append(v)
-    return basis
+    vectors = _kernel_vectors(m, _width(m, cols))
+    return [vectors[f] for f in sorted(vectors)]
 
 
 def solve(a, b: Vec, cols: int | None = None):
@@ -234,16 +289,14 @@ def solve(a, b: Vec, cols: int | None = None):
     n = _width(a, cols)
     aug = []
     for row, bb in zip(a, b):
-        row = _sparse(row)
-        if bb != 0:
-            row[n] = bb
+        row = dict(row) if isinstance(row, dict) else dict(enumerate(row))
+        row[n] = bb
         aug.append(row)
-    r, pivots = rref(aug, cols=n + 1)
-    if n in pivots:
-        return None
     x = zero_vec(n)
-    for row_i, pc in enumerate(pivots):
-        x[pc] = r[row_i][-1]
+    for p, row in _reduced(_echelon(aug)):
+        if p == n:
+            return None
+        x[p] = Fraction(row.get(n, 0), row[p])
     return x
 
 
@@ -258,18 +311,24 @@ def inverse(m: Mat) -> Mat:
 
 
 def det(m: Mat) -> Fraction:
-    """Product of the echelon pivots times the sign of row -> pivot column."""
+    """Product of the echelon pivots times the sign of row -> pivot column.
+
+    Each row enters the integer echelon as d times itself, and _insert scales
+    it further while it reduces; the pivot product is divided by all of it.
+    """
     basis = {}
     cols = []
-    out = Fraction(1)
+    num = den = 1
     for row in m:
-        got = _insert(basis, _sparse(row))
+        row, d = _integer_row(row)
+        got = _insert(basis, row)
         if got is None:
             return Fraction(0)
         cols.append(got[0])
-        out *= got[1]
+        num *= got[1]
+        den *= d * got[2]
     inversions = sum(1 for i, a in enumerate(cols) for b in cols[i + 1:] if a > b)
-    return -out if inversions % 2 else out
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def coordinates(rows, vectors) -> list:
@@ -434,10 +493,6 @@ def jordan_chain_basis(n_mat: Mat) -> list:
         carried = [mat_vec(n_mat, t) for t in (carried + tops)]
         carried = [v for v in carried if not is_zero_vec(v)]
     return chains
-
-
-def gram_matrix(vectors) -> Mat:
-    return [[dot(u, v) for v in vectors] for u in vectors]
 
 
 def diagonal(*entries) -> Mat:

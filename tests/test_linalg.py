@@ -25,7 +25,6 @@ from lie_sbe.linalg import (
     diagonal,
     extend_to_basis,
     frac,
-    gram_matrix,
     identity,
     independent,
     inverse,
@@ -325,6 +324,21 @@ def test_complex_ranks_match_dense_bareiss(name):
                 assert coboundary_space(law, q, module).dim == (ranks[q - 1] if q else 0)
 
 
+def test_dict_rows_need_a_width_that_holds_every_key():
+    # the width of dict rows used to be read from the first row's entry count,
+    # so these gave [[0, 1]] and [1, 0] without a word
+    row = {0: Fraction(1), 5: Fraction(2)}
+    for call in (lambda: nullspace([row]), lambda: rref([row]), lambda: solve([row], [1]),
+                 lambda: nullspace([row], cols=5), lambda: rref([row], cols=3),
+                 lambda: solve([row], [1], cols=5),
+                 lambda: nullspace([{-1: Fraction(1)}], cols=2)):
+        with pytest.raises(ValueError):
+            call()
+    assert nullspace([row], cols=6)[-1] == [-2] + [0] * 4 + [1]
+    assert solve([row], [1], cols=6) == [1, 0, 0, 0, 0, 0]
+    assert rank([row]) == 1
+
+
 def test_frac_rejects_floats():
     assert frac("2/3") == Fraction(2, 3)
     assert frac(-7) == Fraction(-7)
@@ -522,9 +536,6 @@ def test_block_diag_and_gram():
     assert diagonal(1, 2, 3) == b
     assert jordan_block(Fraction(3, 2), 3) == matrix(
         [[Fraction(3, 2), 1, 0], [0, Fraction(3, 2), 1], [0, 0, Fraction(3, 2)]])
-    g = gram_matrix([vector([1, 0]), vector([1, 1])])
-    assert g == matrix([[1, 1], [1, 2]])
-    assert transpose(g) == g
 
 
 # Reference products: the dense sums that mat_mul and mat_vec were before
