@@ -409,9 +409,8 @@ def coboundary_space(law: LieLaw, q: int, module: str) -> Subspace:
 
 
 def cocycle_space(law: LieLaw, q: int, module: str) -> Subspace:
-    nq = _cochain_dim(law.dim, q, module)
-    rows = differential(law, q, module).sparse_rows()
-    return Subspace.span(nq, linalg.nullspace(rows, cols=nq))
+    d = differential(law, q, module)
+    return Subspace.kernel(d.sparse_rows(), len(d.cols))
 
 
 def cohomology_basis(law: LieLaw, q: int, module: str = "trivial") -> list:
@@ -424,10 +423,10 @@ def cohomology_basis(law: LieLaw, q: int, module: str = "trivial") -> list:
     """
     weights = _weights(law)
     d = _carrier(law, q, module, weights)
-    z = Subspace.span(len(d.cols), linalg.nullspace(d.sparse_rows(), cols=len(d.cols)))
+    z = Subspace.kernel(d.sparse_rows(), len(d.cols))
     b = _carrier(law, q - 1, module, weights).sparse_cols() if q > 0 else []
     return [Cochain(law.dim, q, module, {key: x for key, x in zip(d.cols, v) if x != 0})
-            for v in independent(b, z.basis())]
+            for v in independent(b, z.rows)]
 
 
 def wedge(a: Cochain, b: Cochain) -> Cochain:

@@ -41,7 +41,6 @@ from .linalg import (
     mat_sub,
     matrix,
     min_poly,
-    nullspace,
     restrict,
     trace,
 )
@@ -202,7 +201,7 @@ def heintze_traits(h: HeintzeData) -> TraitReport:
         )
     n = h.nil.dim
     an = [list(r) for r in nd.matrix]
-    e1 = Subspace.span(n, nullspace(mat_sub(an, identity(n))))
+    e1 = Subspace.kernel(mat_sub(an, identity(n)), n)
     span = e1
     while True:
         grown = span.add(bracket_subspaces(h.nil, span, span))

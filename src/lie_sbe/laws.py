@@ -280,7 +280,7 @@ def center(law: LieLaw) -> Subspace:
     stacked = []
     for i in range(law.dim):
         stacked.extend(law.ad_basis(i))
-    return Subspace.span(law.dim, nullspace(stacked, cols=law.dim))
+    return Subspace.kernel(stacked, law.dim)
 
 
 def is_completely_solvable(law: LieLaw) -> bool:

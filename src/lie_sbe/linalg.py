@@ -416,6 +416,23 @@ class Subspace:
         return Subspace(ambient, tuple(tuple(row) for row in r), tuple(p))
 
     @staticmethod
+    def kernel(rows, ambient: int) -> "Subspace":
+        """The right kernel of rows (dense, or {column: value} dicts).
+
+        One elimination with the columns reversed: there the kernel vector of
+        each free column f, e_f - sum_i r_{i,f} e_{p_i}, has every entry but
+        its 1 at a column before f, so read back in the given order the
+        vectors are already the RREF basis, with the free columns as pivots.
+        """
+        last = _width(rows, ambient) - 1
+        items = (row.items() if isinstance(row, dict) else enumerate(row) for row in rows)
+        flipped = [{last - j: x for j, x in row} for row in items]
+        vectors = _kernel_vectors(flipped, ambient)
+        frees = sorted(vectors, reverse=True)
+        return Subspace(ambient, tuple(tuple(reversed(vectors[f])) for f in frees),
+                        tuple(last - f for f in frees))
+
+    @staticmethod
     def full(ambient: int) -> "Subspace":
         return Subspace.span(ambient, identity(ambient))
 
@@ -475,7 +492,7 @@ def jordan_chain_basis(n_mat: Mat) -> list:
     power = identity(n)
     while kers[-1].dim < n:
         power = mat_mul(n_mat, power)
-        kers.append(Subspace.span(n, nullspace(power, cols=n)))
+        kers.append(Subspace.kernel(power, n))
         if len(kers) > n + 1:
             raise ValueError("matrix is not nilpotent")
     depth = len(kers) - 1

@@ -261,6 +261,7 @@ def test_kernel_is_the_span_of_the_nullspace():
     for m, n in cases:
         expect = Subspace.span(n, nullspace(m, cols=n))
         assert expect == _ref_kernel(m, n)
+        assert Subspace.kernel(m, n) == expect
 
 
 def test_det_with_large_coprime_denominators_and_singular_matrices():
@@ -330,12 +331,13 @@ def test_dict_rows_need_a_width_that_holds_every_key():
     row = {0: Fraction(1), 5: Fraction(2)}
     for call in (lambda: nullspace([row]), lambda: rref([row]), lambda: solve([row], [1]),
                  lambda: nullspace([row], cols=5), lambda: rref([row], cols=3),
-                 lambda: solve([row], [1], cols=5),
+                 lambda: solve([row], [1], cols=5), lambda: Subspace.kernel([row], 5),
                  lambda: nullspace([{-1: Fraction(1)}], cols=2)):
         with pytest.raises(ValueError):
             call()
     assert nullspace([row], cols=6)[-1] == [-2] + [0] * 4 + [1]
     assert solve([row], [1], cols=6) == [1, 0, 0, 0, 0, 0]
+    assert Subspace.kernel([row], 6) == Subspace.span(6, nullspace([row], cols=6))
     assert rank([row]) == 1
 
 
