@@ -216,18 +216,62 @@ def _weight0_keys(weights, q: int, module: str) -> list:
                   for s in _subsets_of_weight(weights, q, w) for k in ks)
 
 
-def _build_differential(law: LieLaw, module: str, cols, rows) -> Differential:
-    """d_q walked off the sparse structure constants, one row group at a time.
+@lru_cache(maxsize=256)
+def _skeleton(n: int, q: int, module: str, weights) -> tuple:
+    """The index skeleton of degree q: (keys, runs, col_run).
 
-    `cols` and `rows` are the basis keys of degrees q and q+1 that the matrix
-    acts on and lands in: every key, or the weight-0 keys.  Both are in
-    full-basis order, so the keys of one subset S form a run.  The values k
-    of a run depend only on the weight of S, so a bracket term maps the run
-    of S' onto the run of T offset by offset.  Entries are sums of signed
-    structure constants, so the table is scaled once by the lcm L of its
-    denominators, sums are taken over int and emitted as v / L.
+    `keys` are every basis key (weights None) or the weight-0 keys of
+    `weights`.  Both are in full-basis order, so the keys of one subset S form
+    a run; `runs` holds (S, index of its first key, run length, offset of each
+    value k or -1) per run, and `col_run` maps S to (index of its first key,
+    offsets).  The offsets are None for trivial coefficients.  Nothing here
+    depends on the structure constants, so every law of dimension n (and of
+    these weights) shares the skeleton; callers only read it.
+    """
+    keys = cochain_basis(n, q, module) if weights is None else _weight0_keys(weights, q, module)
+    offsets = {}                                # values of a run -> offset of each k, or -1
+    runs, at = [], 0
+    for s, group in itertools.groupby(keys, key=lambda key: key[0]):
+        ks = tuple(k for _, k in group)
+        pos = offsets.get(ks)
+        if pos is None and module == "adjoint":
+            pos = offsets[ks] = [-1] * n
+            for off, k in enumerate(ks):
+                pos[k] = off
+        runs.append((s, at, len(ks), pos))
+        at += len(ks)
+    return tuple(keys), runs, {s: (at, pos) for s, at, _, pos in runs}
+
+
+def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:
+    """Check d_{q+1} after d_q vanishes, column by column on the sparse data."""
+    d1 = differential(law, q, module)
+    d2 = differential(law, q + 1, module)
+    d2_cols = d2.sparse_cols()
+    for col in d1.sparse_cols():
+        acc = {}
+        for r1, v1 in col.items():
+            for r2, v2 in d2_cols[r1].items():
+                acc[r2] = acc.get(r2, Fraction(0)) + v2 * v1
+        if any(v != 0 for v in acc.values()):
+            return False
+    return True
+
+
+@lru_cache(maxsize=256)
+def _differential_cached(law: LieLaw, q: int, module: str, weights) -> Differential:
+    """d_q on every key (weights None), or on the weight-0 keys of `weights`.
+
+    The matrix is walked off the sparse structure constants, one row group
+    at a time, over the skeletons of degrees q (columns) and q+1 (rows).  The
+    values k of a run depend only on the weight of S, so a bracket term maps
+    the run of S' onto the run of T offset by offset.  Entries are sums of
+    signed structure constants, so the table is scaled once by the lcm L of
+    its denominators, sums are taken over int and emitted as v / L.
     """
     n = law.dim
+    cols, _, col_run = _skeleton(n, q, module, weights)
+    rows, row_runs, _ = _skeleton(n, q + 1, module, weights)
     ncols = len(cols)
     scale = math.lcm(*(c.denominator for t in law.table.values() for c in t.values()))
     pairs = {}                                  # (i, j), i < j -> [(m, L * c)]
@@ -237,26 +281,9 @@ def _build_differential(law: LieLaw, module: str, cols, rows) -> Differential:
         pairs[(i, j)] = scaled
         acts[i].extend((j, m, v) for m, v in scaled)
         acts[j].extend((i, m, -v) for m, v in scaled)
-    offsets = {}                                # values of a run -> offset of each k, or -1
-
-    def runs(keys):
-        """(S, index of its first key, run length, offset of each k or -1) per run."""
-        out, at = [], 0
-        for s, group in itertools.groupby(keys, key=lambda key: key[0]):
-            ks = tuple(k for _, k in group)
-            pos = offsets.get(ks)
-            if pos is None and module == "adjoint":
-                pos = offsets[ks] = [-1] * n
-                for off, k in enumerate(ks):
-                    pos[k] = off
-            out.append((s, at, len(ks), pos))
-            at += len(ks)
-        return out
-
-    col_run = {s: (at, pos) for s, at, _, pos in runs(cols)}
     fracs = {}
     entries = []
-    for t, row0, width, row_pos in runs(rows):
+    for t, row0, width, row_pos in row_runs:
         group = {}                              # (row - row0) * ncols + col -> int
         if module == "adjoint":
             for i, x in enumerate(t):
@@ -297,32 +324,7 @@ def _build_differential(law: LieLaw, module: str, cols, rows) -> Differential:
                     f = fracs[v] = Fraction(v, scale)
                 r, c = divmod(key, ncols)
                 entries.append((row0 + r, c, f))
-    return Differential(rows=tuple(rows), cols=tuple(cols), entries=tuple(entries))
-
-
-def composition_is_zero(law: LieLaw, q: int, module: str) -> bool:
-    """Check d_{q+1} after d_q vanishes, column by column on the sparse data."""
-    d1 = differential(law, q, module)
-    d2 = differential(law, q + 1, module)
-    d2_cols = d2.sparse_cols()
-    for col in d1.sparse_cols():
-        acc = {}
-        for r1, v1 in col.items():
-            for r2, v2 in d2_cols[r1].items():
-                acc[r2] = acc.get(r2, Fraction(0)) + v2 * v1
-        if any(v != 0 for v in acc.values()):
-            return False
-    return True
-
-
-@lru_cache(maxsize=256)
-def _differential_cached(law: LieLaw, q: int, module: str, weights) -> Differential:
-    """d_q on every key (weights None), or on the weight-0 keys of `weights`."""
-    if weights is None:
-        keys = cochain_basis(law.dim, q, module), cochain_basis(law.dim, q + 1, module)
-    else:
-        keys = _weight0_keys(weights, q, module), _weight0_keys(weights, q + 1, module)
-    return _build_differential(law, module, *keys)
+    return Differential(rows=rows, cols=cols, entries=tuple(entries))
 
 
 def differential(law: LieLaw, q: int, module: str = "trivial") -> Differential:
