@@ -364,19 +364,24 @@ def _cochain_dim(n: int, q: int, module: str) -> int:
     return math.comb(n, q) * (n if module == "adjoint" else 1)
 
 
+def _rank(d: Differential) -> int:
+    """rank d, eliminating its columns when there are fewer of them than rows."""
+    return rank(d.sparse_cols() if len(d.cols) < len(d.rows) else d.sparse_rows())
+
+
 def betti_numbers(law: LieLaw) -> list:
     """b_0..b_n for trivial coefficients."""
     weights = _weights(law)
     ds = [_carrier(law, q, "trivial", weights) for q in range(law.dim + 1)]
-    ranks = [rank(d.sparse_rows()) for d in ds]
+    ranks = [_rank(d) for d in ds]
     return [len(d.cols) - ranks[q] - (ranks[q - 1] if q > 0 else 0) for q, d in enumerate(ds)]
 
 
 def adjoint_h_dim(law: LieLaw, q: int) -> int:
     weights = _weights(law)
     d = _carrier(law, q, "adjoint", weights)
-    r_prev = rank(_carrier(law, q - 1, "adjoint", weights).sparse_rows()) if q > 0 else 0
-    return len(d.cols) - rank(d.sparse_rows()) - r_prev
+    r_prev = _rank(_carrier(law, q - 1, "adjoint", weights)) if q > 0 else 0
+    return len(d.cols) - _rank(d) - r_prev
 
 
 @dataclass(frozen=True)
