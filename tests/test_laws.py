@@ -10,11 +10,14 @@ from lie_sbe import (
     InputError,
     LieLaw,
     PreconditionError,
+    adjoint_h_dim,
     basis_change,
+    betti_numbers,
     catalog,
     catalog_names,
     center,
     check_jacobi,
+    composition_is_zero,
     derivations,
     derived_series,
     direct_sum,
@@ -413,7 +416,7 @@ def _catalog_law_and_basis_change(draw):
 def _basis_free_numbers(law):
     der = derivations(law)
     verdict = classify_hyperbolic(law)
-    return (
+    numbers = (
         der.der_dim,
         der.inner_dim,
         center(law).dim,
@@ -422,6 +425,13 @@ def _basis_free_numbers(law):
         is_completely_solvable(law),
         (verdict.target, verdict.n, verdict.commable_to),
     )
+    if law.dim > 6:
+        # a sheared copy takes the full complex, which costs seconds at dim 8
+        return numbers
+    for q in range(law.dim):
+        for module in ("trivial", "adjoint"):
+            assert composition_is_zero(law, q, module), (q, module)
+    return numbers + (tuple(betti_numbers(law)), adjoint_h_dim(law, 1), adjoint_h_dim(law, 2))
 
 
 @functools.lru_cache(maxsize=None)
