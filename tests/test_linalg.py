@@ -326,8 +326,8 @@ def test_complex_ranks_match_dense_bareiss(name):
 
 
 def test_dict_rows_need_a_width_that_holds_every_key():
-    # the width of dict rows used to be read from the first row's entry count,
-    # so these gave [[0, 1]] and [1, 0] without a word
+    # a width read from the first row's entry count (2) would turn these into
+    # [[0, 1]] and [1, 0] without a word
     row = {0: Fraction(1), 5: Fraction(2)}
     for call in (lambda: nullspace([row]), lambda: rref([row]), lambda: solve([row], [1]),
                  lambda: nullspace([row], cols=5), lambda: rref([row], cols=3),
